@@ -4,6 +4,7 @@ corpus format.
 Canonical corpus files are JSON lines, one object per message with keys
 ``author_id``, ``timestamp`` (ISO-8601 UTC, second precision, ``Z``
 suffix), ``medium`` and ``text``, sorted by (author_id, timestamp).
+Text is stored cleaned, so reading a corpus takes it verbatim.
 """
 
 from __future__ import annotations
@@ -35,27 +36,41 @@ _MONTHS = {m: i + 1 for i, m in enumerate(
 )}
 
 
+class _WordCount:
+    """Descriptor for ``Message.word_count``: the value supplied, else
+    the tokenizer's count of ``text``, computed on first read."""
+
+    def __get__(self, msg, owner=None) -> int:
+        if msg is None:
+            return -1  # the dataclass field default: not supplied
+        if msg._word_count < 0:
+            msg._word_count = len(tokenize(msg.text))
+        return msg._word_count
+
+    def __set__(self, msg, value: int) -> None:
+        msg._word_count = int(value)
+
+
 @dataclass
 class Message:
     """One timestamped utterance by one author in one medium.
 
-    ``word_count`` is the tokenizer's count of ``text``; it is computed
-    on construction when not supplied.
+    ``word_count`` is the tokenizer's count of ``text``. When not
+    supplied it is computed on demand, the first time it is read, so
+    messages that are only scored are tokenized only by the scorer.
     """
 
     author_id: str
     timestamp: datetime
     medium: str
     text: str
-    word_count: int = -1
+    word_count: int = _WordCount()
 
     def __post_init__(self):
         if self.timestamp.tzinfo is None:
             self.timestamp = self.timestamp.replace(tzinfo=timezone.utc)
         else:
             self.timestamp = self.timestamp.astimezone(timezone.utc)
-        if self.word_count < 0:
-            self.word_count = len(tokenize(self.text))
 
 
 @dataclass
@@ -195,7 +210,7 @@ def _parse_tweets_jsonl(stream, medium: str) -> ParseResult:
     return result
 
 
-def _parse_generic_jsonl(stream, medium: str) -> ParseResult:
+def _parse_generic_jsonl(stream, medium: str, clean: bool = True) -> ParseResult:
     result = ParseResult()
     for raw_line in stream:
         line = raw_line.decode("utf-8", errors="replace").strip()
@@ -215,9 +230,9 @@ def _parse_generic_jsonl(stream, medium: str) -> ParseResult:
         if author is None or ts is None or not isinstance(text, str):
             result.skipped += 1
             continue
-        med = record.get("medium", medium)
+        med = str(record.get("medium", medium))
         result.messages.append(
-            Message(str(author), ts, str(med), clean_text(text, str(med)))
+            Message(str(author), ts, med, clean_text(text, med) if clean else text)
         )
     return result
 
@@ -342,8 +357,11 @@ def build_author_corpora(messages, min_messages: int = 1, min_words: int = 0) ->
     for (author_id, medium) in sorted(groups):
         msgs = sorted(groups[(author_id, medium)], key=lambda m: m.timestamp)
         corpus = AuthorCorpus(author_id, medium, msgs)
-        if corpus.total_messages >= min_messages and corpus.total_words >= min_words:
-            corpora.append(corpus)
+        if corpus.total_messages < min_messages:
+            continue
+        if min_words > 0 and corpus.total_words < min_words:
+            continue
+        corpora.append(corpus)
     return corpora
 
 
@@ -368,6 +386,8 @@ def write_corpus(messages, path) -> None:
 
 
 def read_corpus(path) -> ParseResult:
-    """Read a canonical corpus JSONL file (generic-jsonl rules)."""
+    """Read a canonical corpus JSONL file (generic-jsonl rules). Its text
+    is already clean and is taken verbatim: cleaning it again would not
+    be the identity (twitter "#@name" is written as "@name")."""
     with open(path, "rb") as fh:
-        return _parse_generic_jsonl(fh, medium="other")
+        return _parse_generic_jsonl(fh, medium="other", clean=False)

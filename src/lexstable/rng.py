@@ -6,7 +6,9 @@ run in counter mode: output ``i`` of a stream seeded with ``s`` is
 ``mix64(s + (i+1) * GOLDEN)`` in wrapping 64-bit arithmetic, where
 ``mix64`` is the standard xor-shift/multiply finalizer. Counter mode
 means any block of a stream can be produced in bulk with numpy and the
-result is identical on every platform and interpreter version.
+result is identical on every platform and interpreter version; it also
+means the same block of many streams can be produced in one call
+(:func:`uniform_keys`).
 
 Sub-stream seeds are derived with 8-byte BLAKE2b over a tagged, length-
 prefixed serialization of the parts (see :func:`derive_seed`), so
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +62,37 @@ def derive_seed(master_seed: int, *parts: int | str) -> int:
             h.update(struct.pack("<I", len(raw)))
             h.update(raw)
     return int.from_bytes(h.digest(), "little")
+
+
+def uniform_keys(seeds: Sequence[int], n: int) -> np.ndarray:
+    """The first ``n`` uniforms of each seed's stream as 53-bit integer
+    keys, one uint64 row per seed: row ``r`` times ``2**-53`` equals
+    ``Stream(seeds[r]).uniforms(n)`` exactly, so the keys sort, and tie,
+    exactly as the uniforms do."""
+    base = np.array([s & _U64_MASK for s in seeds], dtype=np.uint64).reshape(-1, 1)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
+    return _mix64(base + steps) >> np.uint64(11)
+
+
+def stable_smallest(keys: np.ndarray, m: int) -> np.ndarray:
+    """Row-wise ``np.argsort(keys, axis=1, kind="stable")[:, :m]``: the
+    indices of each row's ``m`` smallest keys, ordered by (key, index).
+
+    Rows are partitioned rather than sorted; a row where a key equal to
+    its m-th smallest lies outside the partition is sorted in full, so
+    ties resolve exactly as the stable sort resolves them.
+    """
+    if m >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")
+    part = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    part.sort(axis=1)
+    order = np.argsort(np.take_along_axis(keys, part, axis=1), axis=1, kind="stable")
+    out = np.take_along_axis(part, order, axis=1)
+    cut = np.take_along_axis(keys, out[:, -1:], axis=1)
+    tied = np.count_nonzero(keys <= cut, axis=1) > m
+    if tied.any():
+        out[tied] = np.argsort(keys[tied], axis=1, kind="stable")[:, :m]
+    return out
 
 
 class Stream:

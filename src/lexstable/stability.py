@@ -8,15 +8,23 @@ the absolute difference, in percentile points on that shared ladder,
 between the subsample's value and the author's full-sample value.
 Curves aggregate mean / sd / 95th-percentile variability per size.
 
+Each author is prepared once: one tokenizing pass over its messages
+gives the per-message category and word counts, from which the full
+sample, its values and its rank on the ladder follow. That one prepared
+store serves every mode; subsample scores are sums of its rows.
+
 Subsample seeds are derived as
 derive_seed(derive_seed(master_seed, author_id), size, index), so runs
-are bit-reproducible regardless of thread count or schedule.
+are bit-reproducible regardless of thread count or schedule. The random
+draws of one (author, size) are generated together from those seeds
+(counter mode) and equal each stream's own permutation prefix.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +32,7 @@ import numpy as np
 from .errors import IneligibleAuthorError, PlanError, StatsError
 from .ingest import AuthorCorpus, Message
 from .lexicon import Lexicon, count_matrix
-from .rng import Stream, derive_seed
+from .rng import derive_seed, stable_smallest, uniform_keys
 from .stats import PopulationStats
 from .traits import TraitModel, weight_matrix
 
@@ -90,80 +98,113 @@ class StabilityCurve:
     points: list[VariabilityPoint]
 
 
+def _full_range(n_messages: int, words: np.ndarray | None, plan: SubsamplePlan, author_id: str) -> slice:
+    """The full sample's slice of an author's messages. ``words`` holds
+    the per-message word counts and is needed for the word unit only."""
+    if plan.unit == "messages":
+        if n_messages < plan.base_size:
+            raise IneligibleAuthorError(
+                f"author {author_id!r} has {n_messages} messages; "
+                f"base size is {plan.base_size}"
+            )
+        if plan.anchor == "earliest":
+            return slice(0, plan.base_size)
+        return slice(n_messages - plan.base_size, n_messages)
+    if int(words.sum()) < plan.base_size:
+        raise IneligibleAuthorError(
+            f"author {author_id!r} has {int(words.sum())} words; "
+            f"base size is {plan.base_size}"
+        )
+    if plan.anchor == "earliest":
+        stop = int(np.searchsorted(np.cumsum(words), plan.base_size, side="left"))
+        return slice(0, stop + 1)
+    start = int(np.searchsorted(np.cumsum(words[::-1]), plan.base_size, side="left"))
+    return slice(n_messages - start - 1, n_messages)
+
+
 def full_sample(corpus: AuthorCorpus, plan: SubsamplePlan) -> list[Message]:
     """The base_size most recent (or earliest, per plan.anchor) units of
     the corpus; word unit includes the message that crosses the
     threshold. Raises IneligibleAuthorError below base size."""
     msgs = corpus.messages
-    if plan.unit == "messages":
-        if len(msgs) < plan.base_size:
-            raise IneligibleAuthorError(
-                f"author {corpus.author_id!r} has {len(msgs)} messages; "
-                f"base size is {plan.base_size}"
-            )
-        return msgs[: plan.base_size] if plan.anchor == "earliest" else msgs[-plan.base_size:]
-    words = np.array([m.word_count for m in msgs], dtype=np.int64)
-    if int(words.sum()) < plan.base_size:
-        raise IneligibleAuthorError(
-            f"author {corpus.author_id!r} has {int(words.sum())} words; "
-            f"base size is {plan.base_size}"
-        )
-    if plan.anchor == "earliest":
-        stop = int(np.searchsorted(np.cumsum(words), plan.base_size, side="left"))
-        return msgs[: stop + 1]
-    start = int(np.searchsorted(np.cumsum(words[::-1]), plan.base_size, side="left"))
-    return msgs[len(msgs) - start - 1:]
+    words = None
+    if plan.unit == "words":
+        words = np.array([m.word_count for m in msgs], dtype=np.int64)
+    return msgs[_full_range(len(msgs), words, plan, corpus.author_id)]
 
 
-def _contiguous_indices(word_counts: np.ndarray, plan: SubsamplePlan, size: int) -> list[np.ndarray]:
-    n = word_counts.size
-    if plan.unit == "messages":
-        return [np.arange(i * size, (i + 1) * size) for i in range(plan.base_size // size)]
-    target = plan.base_size // size
+def _contiguous_blocks(words: np.ndarray, unit: str, base_size: int, size: int) -> list[np.ndarray]:
+    """floor(base/size) consecutive blocks of the full sample, earliest
+    first; a word-unit block grows until it reaches ``size`` words, and
+    a short trailing remainder ends the walk."""
+    target = base_size // size
+    if unit == "messages":
+        return [np.arange(i * size, (i + 1) * size) for i in range(target)]
+    ends = np.concatenate(([0], np.cumsum(words)))  # ends[i]: words before message i
     blocks: list[np.ndarray] = []
     i = 0
-    while len(blocks) < target and i < n:
-        acc = 0
-        j = i
-        while j < n and acc < size:
-            acc += int(word_counts[j])
-            j += 1
-        if acc < size:
+    while len(blocks) < target:
+        j = int(np.searchsorted(ends, ends[i] + size, side="left"))
+        if j == ends.size:
             break  # trailing remainder, discarded
         blocks.append(np.arange(i, j))
         i = j
     return blocks
 
 
-def _random_indices(
-    word_counts: np.ndarray,
-    plan: SubsamplePlan,
-    size: int,
-    author_seed: int,
-    n_subsamples: int,
+# Keys generated per block of streams; bounds the draw's working memory
+# (128 KiB). Blocks of 2**12 keys draw slower, and 2**16 no faster.
+_KEY_BLOCK = 1 << 14
+
+
+def random_subsamples(
+    words: np.ndarray, unit: str, size: int, author_seed: int, count: int
 ) -> list[np.ndarray]:
-    n = word_counts.size
-    picks = []
-    for index in range(n_subsamples):
-        perm = Stream(derive_seed(author_seed, size, index)).permutation(n)
-        if plan.unit == "messages":
-            picks.append(perm[:size])
+    """``count`` random subsamples of a full sample whose per-message word
+    counts are ``words``.
+
+    Subsample ``i`` comes from the stream seeded
+    ``derive_seed(author_seed, size, i)``: the first ``size`` entries of
+    its ``permutation(len(words))`` for the message unit, the shortest
+    prefix of that permutation reaching ``size`` words for the word unit.
+    The keys of many streams are generated at once (counter mode) and
+    only each row's smallest keys are sorted.
+    """
+    n = words.size
+    seeds = [derive_seed(author_seed, size, i) for i in range(count)]
+    if unit == "messages":
+        guess = size
+    else:  # twice the expected prefix length; widened where it falls short
+        guess = min(n, 2 * size * n // max(int(words.sum()), 1) + 8)
+    rows = max(1, _KEY_BLOCK // max(n, 1))
+    picks: list[np.ndarray] = []
+    for lo in range(0, count, rows):
+        keys = uniform_keys(seeds[lo:lo + rows], n)
+        if unit == "messages":
+            picks.extend(stable_smallest(keys, size))
         else:
-            cw = np.cumsum(word_counts[perm])
-            stop = int(np.searchsorted(cw, size, side="left"))
-            picks.append(perm[: stop + 1])
+            picks.extend(_word_prefixes(keys, words, size, guess))
     return picks
 
 
-def _subsample_indices(
-    word_counts: np.ndarray, plan: SubsamplePlan, size: int, author_seed: int
-) -> list[np.ndarray]:
-    blocks = _contiguous_indices(word_counts, plan, size)
-    if plan.mode == "contiguous":
-        return blocks
-    # Random mode draws the same number of subsamples as contiguous mode
-    # would produce, so the two modes compare equal observation counts.
-    return _random_indices(word_counts, plan, size, author_seed, len(blocks))
+def _word_prefixes(keys: np.ndarray, words: np.ndarray, size: int, m: int) -> list[np.ndarray]:
+    """Per row of ``keys``, the shortest prefix of its stable key order
+    whose word count reaches ``size`` (the whole order if none does).
+    Rows are sorted ``m`` keys deep, doubling ``m`` for rows not yet
+    resolved."""
+    n = keys.shape[1]
+    out: list[np.ndarray] = [None] * len(keys)
+    todo = np.arange(len(keys))
+    while todo.size:
+        order = stable_smallest(keys[todo], m)
+        cw = np.cumsum(words[order], axis=1)
+        done = (cw[:, -1] >= size) | (m >= n)
+        stops = np.count_nonzero(cw < size, axis=1) + 1
+        for r, row, stop in zip(todo[done], order[done], stops[done]):
+            out[r] = row[:stop]
+        todo = todo[~done]
+        m = min(n, 2 * m)
+    return out
 
 
 def make_subsamples(
@@ -185,7 +226,10 @@ def make_subsamples(
         raise PlanError(f"size {size} exceeds base/2 ({plan.base_size // 2})")
     full = full_sample(corpus, plan)
     words = np.array([m.word_count for m in full], dtype=np.int64)
-    return [[full[i] for i in idx] for idx in _subsample_indices(words, plan, size, author_seed)]
+    blocks = _contiguous_blocks(words, plan.unit, plan.base_size, size)
+    if plan.mode == "random":
+        blocks = random_subsamples(words, plan.unit, size, author_seed, len(blocks))
+    return [[full[i] for i in idx] for idx in blocks]
 
 
 def trait_variability(
@@ -198,8 +242,11 @@ def trait_variability(
 
 @dataclass
 class _AuthorData:
+    """One author's prepared full sample, shared by every mode."""
+
     key: tuple[str, str]
-    counts: np.ndarray     # full-sample per-message category counts
+    seed: int              # derive_seed(master_seed, author_id)
+    counts: np.ndarray     # full-sample per-message category counts (int32: the store stays small)
     words: np.ndarray      # full-sample per-message token counts
     full_values: np.ndarray
 
@@ -210,10 +257,22 @@ def _author_values(freq: np.ndarray, W, b) -> np.ndarray:
     return freq @ W + b
 
 
+def _subsample_frequencies(author: _AuthorData, picks: list[np.ndarray]) -> np.ndarray:
+    """Category frequencies of each subsample in ``picks`` that has any
+    tokens; empty subsamples are skipped."""
+    flat = np.concatenate(picks)
+    starts = np.cumsum([0] + [p.size for p in picks[:-1]])
+    sums = np.add.reduceat(author.counts[flat], starts, axis=0, dtype=np.int64)
+    tokens = np.add.reduceat(author.words[flat], starts)
+    keep = tokens > 0
+    return 100.0 * sums[keep] / tokens[keep, None]
+
+
 def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -223,18 +282,25 @@ def run_stability(
     lexicon: Lexicon,
     model: TraitModel | None = None,
     threads: int = 1,
+    modes: Sequence[str] | None = None,
 ) -> list[StabilityCurve]:
     """Run the full stability experiment for one plan.
 
     Produces one curve per trait (or per lexicon category when no model
-    is given), points ordered by size. Authors below the plan's base
-    size, or whose full sample has no tokens, are excluded; fewer than
-    two eligible authors is an error. Subsamples that tokenize to
-    nothing are skipped, which n_observations reflects.
+    is given) and per mode, sorted by (trait, mode), points ordered by
+    size. ``modes`` defaults to ``(plan.mode,)``; every mode runs from
+    the same prepared authors, so each message is tokenized once.
+    Authors below the plan's base size, or whose full sample has no
+    tokens, are excluded; fewer than two eligible authors is an error.
+    Subsamples that tokenize to nothing are skipped, which
+    n_observations reflects.
 
     Results are byte-identical for any ``threads`` >= 1: per-author work
     is independent and aggregation runs in sorted author order.
     """
+    modes = (plan.mode,) if modes is None else tuple(modes)
+    if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
+        raise PlanError(f"modes must be distinct values from {MODES}")
     if model is not None:
         W, b = weight_matrix(model, lexicon)
         names = list(model.trait_names)
@@ -245,18 +311,25 @@ def run_stability(
     ordered = sorted(corpora, key=lambda c: (c.author_id, c.medium))
 
     def prepare(corpus: AuthorCorpus) -> _AuthorData | None:
+        msgs = corpus.messages
         try:
-            full = full_sample(corpus, plan)
+            if plan.unit == "messages":  # the slice needs no word counts
+                full = _full_range(len(msgs), None, plan, corpus.author_id)
+                M, w = count_matrix(msgs[full], lexicon)
+            else:
+                M, w = count_matrix(msgs, lexicon)
+                full = _full_range(len(msgs), w, plan, corpus.author_id)
+                M, w = M[full], w[full].copy()
         except IneligibleAuthorError:
             return None
-        M, w = count_matrix(full, lexicon)
         total = int(w.sum())
         if total == 0:
             return None
         freq = 100.0 * M.sum(axis=0) / total
         return _AuthorData(
             key=(corpus.author_id, corpus.medium),
-            counts=M,
+            seed=derive_seed(plan.master_seed, corpus.author_id),
+            counts=M.astype(np.int32),
             words=w,
             full_values=_author_values(freq, W, b),
         )
@@ -277,25 +350,26 @@ def run_stability(
         for a in authors
     }
 
-    def profile(author: _AuthorData) -> dict[int, np.ndarray]:
-        seed = derive_seed(plan.master_seed, author.key[0])
-        out: dict[int, np.ndarray] = {}
+    def profile(author: _AuthorData) -> dict[tuple[str, int], np.ndarray]:
+        out: dict[tuple[str, int], np.ndarray] = {}
         for size in plan.sizes:
-            rows = []
-            for idx in _subsample_indices(author.words, plan, size, seed):
-                tokens = int(author.words[idx].sum())
-                if tokens == 0:
-                    continue  # skipped observation
-                rows.append(100.0 * author.counts[idx].sum(axis=0) / tokens)
-            if not rows:
-                out[size] = np.zeros((0, len(names)))
-                continue
-            values = _author_values(np.vstack(rows), W, b)
-            ranks = np.column_stack([
-                ladder.percentile_ranks(name, values[:, j])
-                for j, name in enumerate(names)
-            ])
-            out[size] = np.abs(ranks - full_ranks[author.key][None, :])
+            # Random mode draws as many subsamples as contiguous mode yields,
+            # so the two modes compare equal observation counts.
+            blocks = _contiguous_blocks(author.words, plan.unit, plan.base_size, size)
+            for mode in modes:
+                picks = blocks
+                if mode == "random":
+                    picks = random_subsamples(author.words, plan.unit, size, author.seed, len(blocks))
+                freqs = _subsample_frequencies(author, picks)
+                if not len(freqs):  # every subsample tokenized to nothing
+                    out[mode, size] = np.zeros((0, len(names)))
+                    continue
+                values = _author_values(freqs, W, b)
+                ranks = np.column_stack([
+                    ladder.percentile_ranks(name, values[:, j])
+                    for j, name in enumerate(names)
+                ])
+                out[mode, size] = np.abs(ranks - full_ranks[author.key][None, :])
         return out
 
     per_author = _pmap(profile, authors, threads)
@@ -303,22 +377,23 @@ def run_stability(
     curves = []
     for name in sorted(names):
         col = names.index(name)
-        points = []
-        for size in plan.sizes:
-            obs = np.concatenate([res[size][:, col] for res in per_author])
-            if obs.size == 0:
-                raise StatsError(f"no usable observations at size {size}")
-            mean = float(obs.mean())
-            sd = float(obs.std(ddof=1)) if obs.size > 1 else 0.0
-            points.append(VariabilityPoint(
-                size=size,
-                n_observations=int(obs.size),
-                mean_variability=mean,
-                sd_variability=sd,
-                p95_empirical=float(np.percentile(obs, 95.0)),
-                p95_parametric=mean + 1.645 * sd,
-            ))
-        curves.append(StabilityCurve(trait_name=name, mode=plan.mode, unit=plan.unit, points=points))
+        for mode in sorted(modes):
+            points = []
+            for size in plan.sizes:
+                obs = np.concatenate([res[mode, size][:, col] for res in per_author])
+                if obs.size == 0:
+                    raise StatsError(f"no usable observations at size {size}")
+                mean = float(obs.mean())
+                sd = float(obs.std(ddof=1)) if obs.size > 1 else 0.0
+                points.append(VariabilityPoint(
+                    size=size,
+                    n_observations=int(obs.size),
+                    mean_variability=mean,
+                    sd_variability=sd,
+                    p95_empirical=float(np.percentile(obs, 95.0)),
+                    p95_parametric=mean + 1.645 * sd,
+                ))
+            curves.append(StabilityCurve(trait_name=name, mode=mode, unit=plan.unit, points=points))
     return curves
 
 
@@ -330,12 +405,8 @@ def run_stability_modes(
     threads: int = 1,
     modes: Sequence[str] = MODES,
 ) -> list[StabilityCurve]:
-    """Run several modes of the same plan and merge the curves."""
-    curves: list[StabilityCurve] = []
-    for mode in modes:
-        curves.extend(run_stability(corpora, replace(plan, mode=mode), lexicon, model, threads))
-    curves.sort(key=lambda c: (c.trait_name, c.unit, c.mode))
-    return curves
+    """Run several modes of the same plan; curves sorted by (trait, unit, mode)."""
+    return run_stability(corpora, plan, lexicon, model, threads, modes=modes)
 
 
 def minimum_sample_size(

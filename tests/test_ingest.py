@@ -1,10 +1,13 @@
 import io
 import json
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexstable.ingest import (
+    KNOWN_MEDIA,
     Message,
     build_author_corpora,
     clean_text,
@@ -240,6 +243,62 @@ def test_rebuild_is_idempotent(tmp_path):
            [(c.author_id, c.total_messages, c.total_words) for c in corpora]
     assert [[m.text for m in c.messages] for c in rebuilt] == \
            [[m.text for m in c.messages] for c in corpora]
+
+
+def test_ingested_tweets_read_back_verbatim(tmp_path):
+    # cleaning is not idempotent on these: "#@foo" becomes "@foo" and
+    # "#http://..." becomes "http://...", which a second cleaning drops
+    records = [
+        {"author_id": "a", "timestamp": "2014-03-01T12:00:00Z", "text": "#@foo bar"},
+        {"author_id": "a", "timestamp": "2014-03-01T12:01:00Z", "text": "see #http://x.co/y now"},
+    ]
+    ingested = parse_messages(tweets_stream(records), "tweets-jsonl", "twitter").messages
+    assert [m.text for m in ingested] == ["@foo bar", "see http://x.co/y now"]
+    path = tmp_path / "c.jsonl"
+    write_corpus(ingested, path)
+    back = read_corpus(path).messages
+    assert [m.text for m in back] == ["@foo bar", "see http://x.co/y now"]
+    assert [m.word_count for m in back] == [2, 6]
+
+
+_RAW_TOKENS = st.sampled_from(["#@foo", "#http://a.b/c", "@bar", "#tag", "##", "www.z", "word", "RT"])
+_RAW_TEXT = st.lists(
+    _RAW_TOKENS | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8),
+    max_size=8,
+).map(" ".join)
+
+
+@given(records=st.lists(
+    st.tuples(
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+        st.integers(0, 10**9),
+        st.sampled_from(KNOWN_MEDIA),
+        _RAW_TEXT,
+    ),
+    max_size=12,
+))
+@settings(max_examples=100, deadline=None)
+def test_read_corpus_inverts_write_corpus(tmp_path_factory, records):
+    # canonical records: what ingest writes, i.e. cleaned text and
+    # second-precision UTC timestamps
+    epoch = datetime(2000, 1, 1, tzinfo=timezone.utc)
+    messages = [Message(author, epoch + timedelta(seconds=secs), medium, clean_text(raw, medium))
+                for author, secs, medium, raw in records]
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    write_corpus(messages, path)
+    result = read_corpus(path)
+    key = lambda m: (m.author_id, m.timestamp, m.medium, m.text)  # noqa: E731
+    want = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
+    assert [key(m) for m in result.messages] == [key(m) for m in want]
+    assert result.skipped == 0
+
+
+def test_min_words_zero_reads_no_word_counts():
+    messages = [msg("a", 1), msg("a", 2)]
+    build_author_corpora(messages, 1, 0)
+    assert all(m._word_count < 0 for m in messages)  # never tokenized
+    assert build_author_corpora(messages, 1, 12) != []
+    assert [m.word_count for m in messages] == [6, 6]
 
 
 def test_no_output_tweet_starts_with_rt():

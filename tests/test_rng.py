@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexstable.rng import Stream, derive_seed
+from lexstable.rng import Stream, derive_seed, stable_smallest, uniform_keys
 
 # Published reference outputs of the SplitMix64 finalizer chain for
 # state seeded at 0 (first four next() calls).
@@ -88,3 +90,35 @@ def test_derive_seed_rejects_other_types():
         derive_seed(1, 3.5)
     with pytest.raises(TypeError):
         derive_seed(1, True)
+
+
+# --- bulk keys and partial stable sort ------------------------------------
+
+@pytest.mark.parametrize("seeds", [[0], [1, 2**64 - 1, 42, 2**63]])
+def test_uniform_keys_are_the_uniforms(seeds):
+    keys = uniform_keys(seeds, 257)
+    assert keys.shape == (len(seeds), 257) and keys.dtype == np.uint64
+    for row, seed in zip(keys, seeds):
+        assert np.array_equal(row.astype(np.float64) * 2.0 ** -53, Stream(seed).uniforms(257))
+
+
+@given(
+    keys=st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=1, max_size=5)),
+    m=st.integers(1, 45),
+)
+@settings(max_examples=200, deadline=None)
+def test_stable_smallest_matches_stable_argsort(keys, m):
+    # keys drawn from a handful of values, so ties at the cut are common
+    arr = np.array(keys, dtype=np.uint64)
+    want = np.argsort(arr, axis=1, kind="stable")[:, :m]
+    assert np.array_equal(stable_smallest(arr, m), want)
+
+
+def test_stable_smallest_tie_at_the_cut_falls_back():
+    # the 3rd smallest key (5) also sits at index 0 and index 6, outside
+    # whatever the partition picks; the stable order takes the lowest index
+    arr = np.array([[5, 1, 9, 5, 2, 7, 5], [3, 2, 1, 0, 6, 5, 4]], dtype=np.uint64)
+    got = stable_smallest(arr, 3)
+    assert got.tolist() == [[1, 4, 0], [3, 2, 1]]
+    assert np.array_equal(got, np.argsort(arr, axis=1, kind="stable")[:, :3])

@@ -1,12 +1,16 @@
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexstable.errors import IneligibleAuthorError, PlanError, StatsError
 from lexstable.ingest import AuthorCorpus, Message
-from lexstable.rng import derive_seed
+from lexstable import stability
+from lexstable.rng import Stream, derive_seed
 from lexstable.stability import (
     StabilityCurve,
     SubsamplePlan,
@@ -14,6 +18,7 @@ from lexstable.stability import (
     full_sample,
     make_subsamples,
     minimum_sample_size,
+    random_subsamples,
     run_stability,
     run_stability_modes,
     trait_variability,
@@ -128,6 +133,31 @@ def test_contiguous_word_blocks_cross_then_stop():
     assert len({id(m) for m in flat}) == len(flat)
 
 
+def _walk_blocks(words, base, size):
+    """The contiguous word-unit walk written as a loop, for reference."""
+    blocks, i = [], 0
+    while len(blocks) < base // size and i < len(words):
+        acc, j = 0, i
+        while j < len(words) and acc < size:
+            acc += words[j]
+            j += 1
+        if acc < size:
+            break
+        blocks.append(list(range(i, j)))
+        i = j
+    return blocks
+
+
+@given(words=st.lists(st.integers(0, 12), min_size=1, max_size=80), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_contiguous_word_blocks_match_the_loop_walk(words, data):
+    # zero-word messages sit at block edges, where the walk's stop rule shows
+    size = data.draw(st.integers(1, max(1, sum(words))))
+    base = data.draw(st.integers(size, max(size, sum(words))))
+    got = stability._contiguous_blocks(np.array(words, dtype=np.int64), "words", base, size)
+    assert [b.tolist() for b in got] == _walk_blocks(words, base, size)
+
+
 # --- make_subsamples: random --------------------------------------------
 
 def test_random_mode_count_parity_and_no_dups():
@@ -160,6 +190,54 @@ def test_random_word_unit_reaches_size():
         words = sum(m.word_count for m in s)
         assert words >= 10
         assert words - s[-1].word_count < 10
+
+
+# --- the batched draw ---------------------------------------------------
+
+@given(
+    n=st.integers(1, 300),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([8, 1 << 14]),
+)
+@settings(max_examples=100, deadline=None)
+def test_message_draw_equals_each_streams_permutation(n, data, seed, block):
+    size = data.draw(st.integers(1, n))
+    count = data.draw(st.integers(1, 12))
+    with mock.patch.object(stability, "_KEY_BLOCK", block):  # 8: one stream per block
+        picks = random_subsamples(np.ones(n, dtype=np.int64), "messages", size, seed, count)
+    assert len(picks) == count
+    for i, pick in enumerate(picks):
+        want = Stream(derive_seed(seed, size, i)).permutation(n)[:size]
+        assert np.array_equal(pick, want)
+
+
+@given(
+    words=st.lists(st.integers(0, 30), min_size=1, max_size=200),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_word_draw_equals_cumulative_prefix_of_each_permutation(words, data, seed):
+    w = np.array(words, dtype=np.int64)
+    size = data.draw(st.integers(1, max(1, int(w.sum()))))
+    picks = random_subsamples(w, "words", size, seed, 6)
+    for i, pick in enumerate(picks):
+        perm = Stream(derive_seed(seed, size, i)).permutation(w.size)
+        stop = int(np.searchsorted(np.cumsum(w[perm]), size, side="left"))
+        assert np.array_equal(pick, perm[: stop + 1])
+
+
+def test_word_draw_widens_past_its_first_guess():
+    # one long message among short ones: a prefix reaches 500 words only
+    # once it holds the long message, wherever the permutation put it, so
+    # some prefixes run past the first guess of about twice the mean
+    w = np.array([1] * 199 + [1000], dtype=np.int64)
+    picks = random_subsamples(w, "words", 500, 17, 20)
+    assert max(p.size for p in picks) > 2 * 500 * w.size // int(w.sum()) + 8
+    for i, pick in enumerate(picks):
+        perm = Stream(derive_seed(17, 500, i)).permutation(w.size)
+        assert np.array_equal(pick, perm[: int(np.flatnonzero(perm == 199)[0]) + 1])
 
 
 def test_make_subsamples_validates_size():
@@ -237,19 +315,83 @@ def test_run_stability_needs_two_eligible(small_population):
         run_stability(corpora, plan(base=10_000, sizes=(10,)), lexicon)
 
 
+# One plan per unit; the word-unit base fits every author of small_population.
+UNIT_PLANS = {
+    "messages": dict(unit="messages", base=240, sizes=(10, 30, 60)),
+    "words": dict(unit="words", base=1000, sizes=(25, 100, 400)),
+}
+BOTH_MODES = ("random", "contiguous")
+
+
 def test_thread_count_does_not_change_results(small_population):
     corpora, lexicon = small_population
-    p = plan(mode="random", base=240, sizes=(10, 30, 60))
-    one = run_stability(corpora, p, lexicon, threads=1)
-    many = run_stability(corpora, p, lexicon, threads=8)
-    assert one == many
+    for unit_plan in UNIT_PLANS.values():
+        p = plan(**unit_plan)
+        one = run_stability_modes(corpora, p, lexicon, threads=1, modes=BOTH_MODES)
+        many = run_stability_modes(corpora, p, lexicon, threads=8, modes=BOTH_MODES)
+        assert one == many
 
 
 def test_input_order_does_not_change_results(small_population):
     corpora, lexicon = small_population
-    p = plan(mode="random", base=240, sizes=(10, 30))
-    assert run_stability(corpora, p, lexicon) == \
-           run_stability(list(reversed(corpora)), p, lexicon)
+    for unit_plan in UNIT_PLANS.values():
+        p = plan(**unit_plan)
+        assert run_stability_modes(corpora, p, lexicon, modes=BOTH_MODES) == \
+               run_stability_modes(list(reversed(corpora)), p, lexicon, modes=BOTH_MODES)
+
+
+@pytest.mark.parametrize("unit", sorted(UNIT_PLANS))
+@pytest.mark.parametrize("with_model", [False, True])
+def test_modes_share_one_preparation_without_changing_results(small_population, unit, with_model):
+    corpora, lexicon = small_population
+    model = parse_trait_model([
+        "model toy", "trait broad intercept=0.5", "\tcat01 0.5", "\tcat02 -0.25",
+        "trait narrow intercept=0", "\tcat03 1.0",
+    ]) if with_model else None
+    p = plan(**UNIT_PLANS[unit])
+    together = run_stability_modes(corpora, p, lexicon, model, modes=BOTH_MODES)
+    apart = [c for mode in BOTH_MODES
+             for c in run_stability(corpora, replace(p, mode=mode), lexicon, model)]
+    apart.sort(key=lambda c: (c.trait_name, c.unit, c.mode))
+    assert together == apart
+    assert {c.mode for c in together} == set(BOTH_MODES)
+
+
+def test_run_stability_validates_modes(small_population):
+    corpora, lexicon = small_population
+    for modes in [(), ("random", "random"), ("sideways",)]:
+        with pytest.raises(PlanError):
+            run_stability(corpora, plan(base=240, sizes=(10,)), lexicon, modes=modes)
+
+
+@pytest.mark.parametrize("threads, items, cpus, workers", [
+    (1, 5, 4, None),   # one thread: no pool
+    (3, 1, 4, None),   # one item: no pool
+    (8, 3, 4, 3),      # bounded by the items
+    (8, 5, 2, 2),      # bounded by the CPUs
+    (2, 5, 4, 2),
+])
+def test_worker_count_is_bounded(threads, items, cpus, workers):
+    started = []
+
+    class RecordingPool:  # runs serially; records what a real pool would be asked for
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, xs):
+            return map(fn, xs)
+
+    with mock.patch.object(stability, "ThreadPoolExecutor", RecordingPool), \
+         mock.patch.object(stability.os, "cpu_count", lambda: cpus):
+        out = stability._pmap(lambda x: x * x, list(range(items)), threads)
+    assert out == [x * x for x in range(items)]
+    assert started == ([] if workers is None else [workers])
 
 
 def test_zero_variability_of_full_sample_against_itself(small_population):
