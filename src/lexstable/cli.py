@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,11 +85,13 @@ def _load_corpora(path, min_messages: int, min_words: int):
     return corpora
 
 
-def _value_table(corpora, lexicon, model):
-    """Per-author trait (or category frequency) columns; authors whose
-    corpus has no tokens are dropped with a note."""
-    names = list(model.trait_names) if model else list(lexicon.category_names)
-    table: dict[str, list[float]] = {name: [] for name in names}
+def _score_authors(corpora, lexicon, model):
+    """Score each author's corpus. Returns the value names (the model's
+    traits, or the lexicon's categories without a model), one
+    ``(corpus, feature vector, values)`` per author with tokens, and the
+    number of authors dropped for having none."""
+    names = list(model.trait_names) if model is not None else list(lexicon.category_names)
+    scored = []
     dropped = 0
     for corpus in corpora:
         try:
@@ -96,16 +99,26 @@ def _value_table(corpora, lexicon, model):
         except EmptySampleError:
             dropped += 1
             continue
-        if model is not None:
-            scores = infer_traits(fv, model, lexicon).values
-            for name in names:
-                table[name].append(scores[name])
+        if model is None:
+            values = [fv.frequencies[cid] for cid, _ in lexicon.categories]
         else:
-            for (cid, name) in lexicon.categories:
-                table[name].append(fv.frequencies[cid])
+            scores = infer_traits(fv, model, lexicon).values
+            values = [scores[name] for name in names]
+        scored.append((corpus, fv, values))
+    return names, scored, dropped
+
+
+def _columns(names, scored) -> dict[str, list[float]]:
+    return {name: [values[j] for _, _, values in scored] for j, name in enumerate(names)}
+
+
+def _value_table(corpora, lexicon, model):
+    """Per-author trait (or category frequency) columns; authors whose
+    corpus has no tokens are dropped with a note."""
+    names, scored, dropped = _score_authors(corpora, lexicon, model)
     if dropped:
         print(f"note: dropped {dropped} author(s) with empty corpora", file=sys.stderr)
-    return table
+    return _columns(names, scored)
 
 
 def cmd_ingest(args) -> int:
@@ -124,26 +137,17 @@ def cmd_ingest(args) -> int:
 def cmd_score(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     corpora = _load_corpora(args.corpus, args.min_messages, args.min_words)
-    names = list(lexicon.category_names)
-    rows = []
-    values: dict[str, list[float]] = {name: [] for name in names}
-    for corpus in corpora:
-        try:
-            fv = score_features(corpus.messages, lexicon)
-        except EmptySampleError:
-            continue
-        rows.append(
-            [corpus.author_id, corpus.medium, corpus.total_messages, fv.total_tokens]
-            + [fmt(fv.frequencies[cid]) for cid, _ in lexicon.categories]
-        )
-        for (cid, name) in lexicon.categories:
-            values[name].append(fv.frequencies[cid])
+    names, scored, _ = _score_authors(corpora, lexicon, None)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["author_id", "medium", "messages", "tokens"] + names)
-        writer.writerows(rows)
+        writer.writerows(
+            [corpus.author_id, corpus.medium, corpus.total_messages, fv.total_tokens]
+            + [fmt(v) for v in values]
+            for corpus, fv, values in scored
+        )
     if args.stats_out:
-        save_stats_json(PopulationStats(values), args.stats_out)
+        save_stats_json(PopulationStats(_columns(names, scored)), args.stats_out)
     _write_manifest("score", args, [args.corpus, args.lexicon], args.out)
     return 0
 
@@ -152,24 +156,16 @@ def cmd_traits(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model)
     corpora = _load_corpora(args.corpus, args.min_messages, args.min_words)
-    names = list(model.trait_names)
-    rows = []
-    values: dict[str, list[float]] = {name: [] for name in names}
-    for corpus in corpora:
-        try:
-            fv = score_features(corpus.messages, lexicon)
-        except EmptySampleError:
-            continue
-        scores = infer_traits(fv, model, lexicon).values
-        rows.append([corpus.author_id, corpus.medium] + [fmt(scores[n]) for n in names])
-        for name in names:
-            values[name].append(scores[name])
+    names, scored, _ = _score_authors(corpora, lexicon, model)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["author_id", "medium"] + names)
-        writer.writerows(rows)
+        writer.writerows(
+            [corpus.author_id, corpus.medium] + [fmt(v) for v in values]
+            for corpus, _, values in scored
+        )
     if args.stats_out:
-        save_stats_json(PopulationStats(values), args.stats_out)
+        save_stats_json(PopulationStats(_columns(names, scored)), args.stats_out)
     _write_manifest("traits", args, [args.corpus, args.lexicon, args.model], args.out)
     return 0
 
@@ -243,6 +239,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexstable",
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-stats", required=True, dest="from_stats")
     p.add_argument("--to-stats", required=True, dest="to_stats")
     p.add_argument("--trait", required=True)
-    p.add_argument("--value", type=float, required=True)
+    p.add_argument("--value", type=_finite_float, required=True)
     p.set_defaults(func=cmd_renorm)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus and companion dictionary")

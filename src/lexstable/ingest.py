@@ -10,12 +10,12 @@ Text is stored cleaned, so reading a corpus takes it verbatim.
 from __future__ import annotations
 
 import email
-import email.policy
 import email.utils
 import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 from .lexicon import tokenize
 
@@ -103,9 +103,21 @@ class ParseResult:
     filtered: int = 0
 
 
+def _to_utc(dt: datetime) -> datetime | None:
+    """``dt`` in UTC, a naive ``dt`` taken as UTC; None when the UTC time
+    falls outside the datetime range (year 9999 at offset -23:59)."""
+    if dt.tzinfo is None:
+        return dt.replace(tzinfo=timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        return None
+
+
 def parse_timestamp(value) -> datetime | None:
     """Best-effort timestamp parse: ISO-8601 (Z or offset), the classic
-    tweet format, or epoch seconds. None when unparseable."""
+    tweet format, or epoch seconds. None when unparseable or when its
+    UTC time falls outside the datetime range."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return datetime.fromtimestamp(float(value), tz=timezone.utc)
@@ -115,10 +127,7 @@ def parse_timestamp(value) -> datetime | None:
         return None
     text = value.strip()
     try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return dt.astimezone(timezone.utc)
+        return _to_utc(datetime.fromisoformat(text.replace("Z", "+00:00")))
     except ValueError:
         pass
     m = _TWEET_TS_RE.match(text)
@@ -136,7 +145,7 @@ def parse_timestamp(value) -> datetime | None:
                           tzinfo=timezone(delta))
         except ValueError:
             return None
-        return dt.astimezone(timezone.utc)
+        return _to_utc(dt)
     return None
 
 
@@ -173,67 +182,76 @@ def _is_retweet(record: dict, text: str) -> bool:
     return text.startswith("RT @")
 
 
-def _parse_tweets_jsonl(stream, medium: str) -> ParseResult:
+# Returned by a record adapter for a well-formed record dropped by rule.
+_FILTERED = object()
+
+# One decoder for every JSONL line. On a stripped line, raw_decode plus
+# "the value ends the line" accepts and rejects exactly what json.loads
+# does, without json.loads's two extra calls per record.
+_decode = json.JSONDecoder().raw_decode
+
+
+def _canonical_record(record: dict, medium: str):
+    """A generic-jsonl record as a message with its text verbatim, or
+    None when author_id, timestamp or text is missing or unusable. The
+    record's own ``medium`` wins over ``medium``."""
+    author = record.get("author_id")
+    text = record.get("text")
+    ts = parse_timestamp(record.get("timestamp"))
+    if author is None or ts is None or not isinstance(text, str):
+        return None
+    return Message(str(author), ts, str(record.get("medium", medium)), text)
+
+
+def _generic_record(record: dict, medium: str):
+    msg = _canonical_record(record, medium)
+    if msg is not None:
+        msg.text = clean_text(msg.text, msg.medium)
+    return msg
+
+
+def _tweet_record(record: dict, medium: str):
+    author = record.get("author_id")
+    if author is None:
+        user = record.get("user")
+        if isinstance(user, dict):
+            author = user.get("id_str")
+    text = record.get("text")
+    ts = parse_timestamp(record.get("timestamp", record.get("created_at")))
+    if author is None or ts is None or not isinstance(text, str):
+        return None
+    if _is_retweet(record, text):
+        return _FILTERED
+    lang = record.get("lang")
+    if isinstance(lang, str) and lang and lang != "en":
+        return _FILTERED
+    return Message(str(author), ts, medium, clean_text(text, medium))
+
+
+def _parse_jsonl(stream, medium: str, adapt) -> ParseResult:
+    """Parse JSON lines one at a time. A line that is not one JSON object
+    is skipped, as is any record ``adapt`` maps to None; ``adapt`` maps a
+    record to a message, None or ``_FILTERED``."""
     result = ParseResult()
     for raw_line in stream:
         line = raw_line.decode("utf-8", errors="replace").strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record, end = _decode(line)
+        except (ValueError, RecursionError):  # also integers too long to convert, deep nesting
             result.skipped += 1
             continue
-        if not isinstance(record, dict):
+        if end != len(line) or not isinstance(record, dict):
             result.skipped += 1
             continue
-        author = record.get("author_id")
-        if author is None:
-            user = record.get("user")
-            if isinstance(user, dict):
-                author = user.get("id_str")
-        text = record.get("text")
-        ts = parse_timestamp(record.get("timestamp", record.get("created_at")))
-        if author is None or ts is None or not isinstance(text, str):
+        msg = adapt(record, medium)
+        if msg is None:
             result.skipped += 1
-            continue
-        if _is_retweet(record, text):
+        elif msg is _FILTERED:
             result.filtered += 1
-            continue
-        lang = record.get("lang")
-        if isinstance(lang, str) and lang and lang != "en":
-            result.filtered += 1
-            continue
-        result.messages.append(
-            Message(str(author), ts, medium, clean_text(text, medium))
-        )
-    return result
-
-
-def _parse_generic_jsonl(stream, medium: str, clean: bool = True) -> ParseResult:
-    result = ParseResult()
-    for raw_line in stream:
-        line = raw_line.decode("utf-8", errors="replace").strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            result.skipped += 1
-            continue
-        if not isinstance(record, dict):
-            result.skipped += 1
-            continue
-        author = record.get("author_id")
-        text = record.get("text")
-        ts = parse_timestamp(record.get("timestamp"))
-        if author is None or ts is None or not isinstance(text, str):
-            result.skipped += 1
-            continue
-        med = str(record.get("medium", medium))
-        result.messages.append(
-            Message(str(author), ts, med, clean_text(text, med) if clean else text)
-        )
+        else:
+            result.messages.append(msg)
     return result
 
 
@@ -285,7 +303,7 @@ def _first_text_plain(msg) -> str:
         charset = part.get_content_charset() or "utf-8"
         try:
             return payload.decode(charset, errors="replace")
-        except LookupError:
+        except (LookupError, ValueError):  # unknown codec, or one that refuses "replace" (idna)
             return payload.decode("utf-8", errors="replace")
     return ""
 
@@ -299,19 +317,18 @@ def _parse_mbox(stream, medium: str) -> ParseResult:
         except Exception:
             result.skipped += 1
             continue
-        sender = email.utils.parseaddr(msg.get("From", ""))[1]
+        # str(): a header with undecodable bytes comes back as a Header object
+        sender = email.utils.parseaddr(str(msg.get("From", "")))[1]
         if not sender:
             result.skipped += 1
             continue
         try:
-            ts = email.utils.parsedate_to_datetime(msg.get("Date", ""))
+            ts = _to_utc(email.utils.parsedate_to_datetime(str(msg.get("Date", ""))))
         except (TypeError, ValueError):
             ts = None
         if ts is None:
             result.skipped += 1
             continue
-        if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=timezone.utc)
         body = strip_quoted(_first_text_plain(msg))
         result.messages.append(
             Message(sender, ts, medium, clean_text(body, medium))
@@ -320,8 +337,8 @@ def _parse_mbox(stream, medium: str) -> ParseResult:
 
 
 _PARSERS = {
-    "tweets-jsonl": _parse_tweets_jsonl,
-    "generic-jsonl": _parse_generic_jsonl,
+    "tweets-jsonl": partial(_parse_jsonl, adapt=_tweet_record),
+    "generic-jsonl": partial(_parse_jsonl, adapt=_generic_record),
     "mbox": _parse_mbox,
 }
 
@@ -366,7 +383,15 @@ def build_author_corpora(messages, min_messages: int = 1, min_words: int = 0) ->
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """ISO-8601 UTC to the second with a ``Z`` suffix; the year is
+    always four digits (strftime's ``%Y`` drops the zeros before year
+    1000 on some platforms)."""
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+
+
+# One encoder for every record: json.dumps with keyword arguments would
+# build a new one per call.
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def write_corpus(messages, path) -> None:
@@ -381,7 +406,7 @@ def write_corpus(messages, path) -> None:
                 "medium": m.medium,
                 "text": m.text,
             }
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
+            fh.write(_encode(record))
             fh.write("\n")
 
 
@@ -390,4 +415,4 @@ def read_corpus(path) -> ParseResult:
     is already clean and is taken verbatim: cleaning it again would not
     be the identity (twitter "#@name" is written as "@name")."""
     with open(path, "rb") as fh:
-        return _parse_generic_jsonl(fh, medium="other", clean=False)
+        return _parse_jsonl(fh, "other", _canonical_record)

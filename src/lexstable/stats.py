@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DegenerateGroupsError, StatsError
 
@@ -87,12 +86,28 @@ def save_stats_json(stats: PopulationStats, path) -> None:
         fh.write("\n")
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def load_stats_json(path) -> dict[str, dict]:
+    """Read a stats file written by ``save_stats_json``. Raises StatsError
+    unless every entry has finite numbers for n, mean and sd."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise StatsError(f"stats file {path}: expected a JSON object")
     for name, entry in doc.items():
-        if not {"n", "mean", "sd"} <= set(entry):
+        if not isinstance(entry, dict) or not {"n", "mean", "sd"} <= set(entry):
             raise StatsError(f"stats file {path}: entry {name!r} missing n/mean/sd")
+        for key in ("n", "mean", "sd"):
+            if not _is_finite_number(entry[key]):
+                raise StatsError(f"stats file {path}: entry {name!r} {key} is not a finite number")
     return doc
 
 
@@ -117,6 +132,10 @@ def welch_p(a, b) -> float:
     Welch-Satterthwaite degrees of freedom; p from the Student-t
     survival function. Returns exactly 1.0 when t == 0.
     """
+    # Imported here, not at module level: scipy takes longer to import
+    # than most commands take to run, and only compare needs it.
+    from scipy.special import stdtr
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:

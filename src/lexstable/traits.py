@@ -17,6 +17,7 @@ inference time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -92,6 +93,8 @@ def parse_trait_model(lines: Iterable[str], source="<model>") -> TraitModel:
                 intercept = float(parts[1][len("intercept="):])
             except ValueError:
                 raise _err(source, line_no, "intercept is not a number") from None
+            if not math.isfinite(intercept):
+                raise _err(source, line_no, "intercept is not finite")
             names.add(name)
             current = TraitSpec(trait_name=name, intercept=intercept, weights={})
             traits.append(current)
@@ -106,9 +109,12 @@ def parse_trait_model(lines: Iterable[str], source="<model>") -> TraitModel:
             if category in current.weights:
                 raise _err(source, line_no, f"duplicate weight for category {category!r}")
             try:
-                current.weights[category] = float(value)
+                weight = float(value)
             except ValueError:
                 raise _err(source, line_no, "weight is not a number") from None
+            if not math.isfinite(weight):
+                raise _err(source, line_no, "weight is not finite")
+            current.weights[category] = weight
             continue
         raise _err(source, line_no, f"unrecognized line {stripped!r}")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -158,6 +162,61 @@ def test_renorm_command(tmp_path, capsys, monkeypatch):
     code = run("renorm", "--from-stats", "a.json", "--to-stats", "b.json",
                "--trait", "missing", "--value", "1.0")
     assert code == 1
+    capsys.readouterr()
+    for value in ("nan", "inf", "-inf"):
+        code = run("renorm", "--from-stats", "a.json", "--to-stats", "b.json",
+                   "--trait", "t", "--value", value)
+        assert code == 2
+    (tmp_path / "nan.json").write_text('{"t": {"n": 5, "mean": NaN, "sd": 1.0}}')
+    code = run("renorm", "--from-stats", "nan.json", "--to-stats", "b.json",
+               "--trait", "t", "--value", "1.0")
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_score_skips_a_line_nested_too_deep(tmp_path, synth_files, capsys):
+    corpus, lexicon = synth_files
+    with open(corpus, "ab") as fh:
+        fh.write(b"[" * 200_000 + b"\n")
+    out = tmp_path / "scores.csv"
+    assert run("score", "--corpus", str(corpus), "--lexicon", str(lexicon), "--out", str(out)) == 0
+    assert "skipped 1 malformed record(s)" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 1 + 8
+
+
+_SCIPY_PROBE = textwrap.dedent("""
+    import sys
+    from lexstable.cli import main
+    from conftest import data_path
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+        assert "scipy" not in sys.modules, argv[0]
+
+    d = sys.argv[1]
+    run("synth", "--authors", 4, "--messages", 20, "--seed", 1, "--categories", 3,
+        "--out", f"{d}/c.jsonl", "--lexicon-out", f"{d}/l.dic")
+    run("ingest", "--input", f"{d}/c.jsonl", "--format", "generic-jsonl", "--out", f"{d}/i.jsonl")
+    run("score", "--corpus", f"{d}/i.jsonl", "--lexicon", f"{d}/l.dic",
+        "--out", f"{d}/s.csv", "--stats-out", f"{d}/s.json")
+    run("traits", "--corpus", f"{d}/i.jsonl", "--lexicon", data_path("demo.dic"),
+        "--model", data_path("toy_big5.model"), "--out", f"{d}/t.csv")
+    run("stability", "--corpus", f"{d}/c.jsonl", "--lexicon", f"{d}/l.dic",
+        "--base", 20, "--sizes", "5,10", "--out", f"{d}/curves.csv")
+    run("renorm", "--from-stats", f"{d}/s.json", "--to-stats", f"{d}/s.json",
+        "--trait", "cat01", "--value", 1.0)
+    main(["compare", "--corpus-a", f"{d}/c.jsonl", "--corpus-b", f"{d}/i.jsonl",
+          "--lexicon", f"{d}/l.dic", "--out", f"{d}/cmp.csv"])
+    assert "scipy" in sys.modules
+""")
+
+
+def test_only_compare_imports_scipy(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy yet
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_errors_and_help(capsys):

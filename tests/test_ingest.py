@@ -3,7 +3,7 @@ import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexstable.ingest import (
@@ -102,6 +102,20 @@ def test_malformed_records_are_counted_not_fatal():
     assert result.skipped == 2
 
 
+@pytest.mark.parametrize("format", ["tweets-jsonl", "generic-jsonl"])
+def test_lines_that_are_not_one_json_object_are_skipped(format):
+    stream = io.BytesIO(b"\n".join([
+        b"[" * 200_000,  # nested deeper than the recursion limit
+        b'{"author_id": 1' + b"0" * 5000 + b"}",  # integer too long to convert
+        b'{"author_id": "a"} {"author_id": "b"}',
+        b'"a string"',
+        b'{"author_id": "a", "timestamp": "2014-03-01T12:00:00Z", "text": "ok"}',
+    ]))
+    result = parse_messages(stream, format, "forum")
+    assert [m.text for m in result.messages] == ["ok"]
+    assert result.skipped == 4
+
+
 # --- generic-jsonl -----------------------------------------------------
 
 def test_generic_jsonl_drop_rule():
@@ -161,6 +175,78 @@ def test_parse_timestamp_variants():
     assert parse_timestamp("Wed Aug 27 13:08:45 +0000 2008") == ts("2008-08-27T13:08:45Z")
     assert parse_timestamp("not a date") is None
     assert parse_timestamp(None) is None
+
+
+_OUT_OF_RANGE = ("9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+00:01",
+                 "Fri Dec 31 23:59:59 -2359 9999", 1e300)
+
+
+def test_timestamps_whose_utc_time_is_out_of_range_are_skipped():
+    assert [parse_timestamp(v) for v in _OUT_OF_RANGE] == [None] * len(_OUT_OF_RANGE)
+    records = [{"author_id": "a", "timestamp": v, "text": "x"} for v in _OUT_OF_RANGE]
+    for format in ("tweets-jsonl", "generic-jsonl"):
+        result = parse_messages(tweets_stream(records), format, "forum")
+        assert (result.messages, result.skipped) == ([], len(records))
+    mbox = (b"From x\nFrom: a@b.c\nDate: Fri, 31 Dec 9999 23:59:59 -2359\n\nlate\n\n"
+            b"From x\nFrom: a@b.c\nDate: Mon, 3 Mar 2014 09:00:00 +0000\n\nfine\n")
+    result = parse_messages(io.BytesIO(mbox), "mbox", "email")
+    assert [m.text for m in result.messages] == ["fine"]
+    assert result.skipped == 1
+
+
+# --- the parsers never raise on malformed input ------------------------
+
+_TIMESTAMPS = st.sampled_from([
+    "2014-03-01T12:00:00Z", "Wed Aug 27 13:08:45 +0000 2008", 1393675200, *_OUT_OF_RANGE,
+])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | _TIMESTAMPS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["id_str", "x"]), inner, max_size=2)),
+    max_leaves=6,
+)
+_RECORD_KEYS = ("author_id", "user", "timestamp", "created_at", "text", "medium", "lang",
+                "retweeted", "retweeted_status")
+_JSONL_LINES = st.one_of(
+    st.binary(max_size=30),
+    st.fixed_dictionaries({}, optional={k: _JSON_VALUES for k in _RECORD_KEYS})
+      .map(lambda r: json.dumps(r).encode()),
+    st.sampled_from([b"[" * 100_000, b"9" * 5000, b'{"text": "x"} ]', b"\xef\xbb\xbf{}"]),
+)
+
+
+@given(lines=st.lists(_JSONL_LINES, max_size=8), format=st.sampled_from(["tweets-jsonl", "generic-jsonl"]))
+@settings(max_examples=200, deadline=None)
+def test_jsonl_parsers_never_raise_and_count_every_line(lines, format):
+    data = b"\n".join(lines)
+    result = parse_messages(io.BytesIO(data), format, "forum")
+    counted = len(result.messages) + result.skipped + result.filtered
+    assert counted == sum(1 for line in data.split(b"\n") if line.decode("utf-8", "replace").strip())
+    assert all(m.timestamp.tzinfo is timezone.utc for m in result.messages)
+
+
+_HEADER_VALUES = st.binary(max_size=24).map(lambda b: b.replace(b"\n", b" ")) | st.sampled_from([
+    b"a@b.c", b"Mon, 3 Mar 2014 09:00:00 +0000", b"Fri, 31 Dec 9999 23:59:59 -2359",
+    b"\xff\xfe@b.c", b"text/plain; charset=idna", b'text/plain; charset="utf-8\x00"',
+    b"text/plain; charset=bogus", b"multipart/mixed; boundary=b", b"base64", b"quoted-printable",
+])
+_MAIL = st.tuples(
+    st.dictionaries(st.sampled_from([b"From", b"Date", b"Content-Type", b"Content-Transfer-Encoding"]),
+                    _HEADER_VALUES),
+    st.binary(max_size=40),
+)
+
+
+@given(mails=st.lists(_MAIL, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_mbox_parser_never_raises_and_counts_every_message(mails):
+    data = b"".join(
+        b"From x\n" + b"".join(k + b": " + v + b"\n" for k, v in headers.items()) + b"\n" + body + b"\n\n"
+        for headers, body in mails
+    )
+    result = parse_messages(io.BytesIO(data), "mbox", "email")
+    assert len(result.messages) + result.skipped >= len(mails)  # a body may hold a "From " line
+    assert all(m.author_id and m.timestamp.tzinfo is timezone.utc for m in result.messages)
 
 
 # --- build_author_corpora ---------------------------------------------
@@ -268,21 +354,25 @@ _RAW_TEXT = st.lists(
 ).map(" ".join)
 
 
+_EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
+_MAX_SECONDS = (datetime.max - datetime.min) // timedelta(seconds=1)
+
+
 @given(records=st.lists(
     st.tuples(
         st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
-        st.integers(0, 10**9),
+        st.integers(0, _MAX_SECONDS),
         st.sampled_from(KNOWN_MEDIA),
         _RAW_TEXT,
     ),
     max_size=12,
 ))
+@example(records=[("a", 4 * 365 * 86400, "twitter", "year five")])
 @settings(max_examples=100, deadline=None)
 def test_read_corpus_inverts_write_corpus(tmp_path_factory, records):
     # canonical records: what ingest writes, i.e. cleaned text and
-    # second-precision UTC timestamps
-    epoch = datetime(2000, 1, 1, tzinfo=timezone.utc)
-    messages = [Message(author, epoch + timedelta(seconds=secs), medium, clean_text(raw, medium))
+    # second-precision UTC timestamps anywhere in the datetime range
+    messages = [Message(author, _EPOCH + timedelta(seconds=secs), medium, clean_text(raw, medium))
                 for author, secs, medium, raw in records]
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
     write_corpus(messages, path)

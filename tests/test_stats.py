@@ -93,6 +93,23 @@ def test_stats_json_roundtrip(tmp_path):
         load_stats_json(bad)
 
 
+@pytest.mark.parametrize("text", [
+    '{"t": {"n": 5, "mean": NaN, "sd": 1.0}}',
+    '{"t": {"n": 5, "mean": 0.0, "sd": Infinity}}',
+    '{"t": {"n": 5, "mean": 0.0, "sd": -Infinity}}',
+    '{"t": {"n": 5, "mean": 1' + '0' * 400 + ', "sd": 1.0}}',  # beyond float range
+    '{"t": {"n": 5, "mean": "0.0", "sd": 1.0}}',
+    '{"t": {"n": true, "mean": 0.0, "sd": 1.0}}',
+    '{"t": [5, 0.0, 1.0]}',
+    '[1, 2]',
+])
+def test_stats_json_rejects_non_finite_or_non_numeric_entries(tmp_path, text):
+    path = tmp_path / "stats.json"
+    path.write_text(text)
+    with pytest.raises(StatsError):
+        load_stats_json(path)
+
+
 # --- cohens_d ----------------------------------------------------------
 
 def test_cohens_d_hand_value():

@@ -55,6 +55,17 @@ def test_bad_weight_line_reports_location():
     assert ":3:" in str(err.value)
 
 
+@pytest.mark.parametrize("lines", [
+    ["model m", "trait t intercept=nan"],
+    ["model m", "trait t intercept=-inf"],
+    ["model m", "trait t intercept=0", "\tposemo inf"],
+    ["model m", "trait t intercept=0", "\tposemo NaN"],
+])
+def test_non_finite_numbers_rejected(lines):
+    with pytest.raises(ModelError, match="not finite"):
+        parse_trait_model(lines)
+
+
 def test_hand_dot_product():
     model = parse_trait_model(["model m", "trait t intercept=3.0", "\tposemo 0.5"])
     scores = infer_traits(fv(posemo=25.0), model, TOY)
