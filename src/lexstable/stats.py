@@ -132,8 +132,8 @@ def welch_p(a, b) -> float:
     Welch-Satterthwaite degrees of freedom; p from the Student-t
     survival function. Returns exactly 1.0 when t == 0.
     """
-    # Imported here, not at module level: scipy takes longer to import
-    # than most commands take to run, and only compare needs it.
+    # Imported here, not at module level, so that only the command that
+    # computes p-values (compare) pays for importing scipy.
     from scipy.special import stdtr
 
     a = np.asarray(a, dtype=np.float64)
