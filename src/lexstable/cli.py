@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -60,21 +59,6 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs, primary_out)
     with open(out_dir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _resolve_threads(args) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
-        env = os.environ.get("LEXSTABLE_THREADS")
-        if not env:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise PlanError(f"LEXSTABLE_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise PlanError("thread count must be >= 1")
-    return value
 
 
 def _load_corpora(path, min_messages: int, min_words: int):
@@ -191,11 +175,10 @@ def cmd_stability(args) -> int:
         unit=args.unit, mode=modes[0], base_size=args.base,
         sizes=sizes, master_seed=args.seed, anchor=args.anchor,
     )
-    threads = _resolve_threads(args)
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
     corpora = _load_corpora(args.corpus, 1, 0)
-    curves = run_stability_modes(corpora, plan, lexicon, model, threads=threads, modes=modes)
+    curves = run_stability_modes(corpora, plan, lexicon, model, modes=modes)
     write_curves_csv(curves, args.out)
     if args.svg:
         write_svg(curves_svg(curves), args.svg)
@@ -307,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated subsample sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--anchor", choices=("latest", "earliest"), default="latest")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: LEXSTABLE_THREADS or 1)")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_stability)
@@ -326,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--categories", type=int, default=10)
     p.add_argument("--vocab-per-category", type=int, default=20)
-    p.add_argument("--jitter", type=float, default=0.1, help="per-author rate jitter")
-    p.add_argument("--drift-rho", type=float, default=0.0)
-    p.add_argument("--drift-sigma", type=float, default=0.0)
+    p.add_argument("--jitter", type=_finite_float, default=0.1, help="per-author rate jitter")
+    p.add_argument("--drift-rho", type=_finite_float, default=0.0)
+    p.add_argument("--drift-sigma", type=_finite_float, default=0.0)
     p.add_argument("--msg-len-min", type=int, default=10)
     p.add_argument("--msg-len-max", type=int, default=20)
     p.add_argument("--out", required=True)

@@ -15,15 +15,14 @@ store serves every mode; subsample scores are sums of its rows.
 
 Subsample seeds are derived as
 derive_seed(derive_seed(master_seed, author_id), size, index), so runs
-are bit-reproducible regardless of thread count or schedule. The random
-draws of one (author, size) are generated together from those seeds
-(counter mode) and equal each stream's own permutation prefix.
+are bit-reproducible and do not depend on the order of the input
+corpora. The random draws of one (author, size) are generated together
+from those seeds (counter mode) and equal each stream's own permutation
+prefix.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +33,7 @@ from .ingest import AuthorCorpus, Message
 from .lexicon import Lexicon, count_matrix
 from .rng import derive_seed, stable_smallest, uniform_keys
 from .stats import PopulationStats
-from .traits import TraitModel, weight_matrix
+from .traits import TraitModel, project, weight_matrix
 
 UNITS = ("messages", "words")
 MODES = ("random", "contiguous")
@@ -244,7 +243,6 @@ def trait_variability(
 class _AuthorData:
     """One author's prepared full sample, shared by every mode."""
 
-    key: tuple[str, str]
     seed: int              # derive_seed(master_seed, author_id)
     counts: np.ndarray     # full-sample per-message category counts (int32: the store stays small)
     words: np.ndarray      # full-sample per-message token counts
@@ -254,7 +252,7 @@ class _AuthorData:
 def _author_values(freq: np.ndarray, W, b) -> np.ndarray:
     if W is None:
         return freq
-    return freq @ W + b
+    return project(freq, W, b)
 
 
 def _subsample_frequencies(author: _AuthorData, picks: list[np.ndarray]) -> np.ndarray:
@@ -268,20 +266,11 @@ def _subsample_frequencies(author: _AuthorData, picks: list[np.ndarray]) -> np.n
     return 100.0 * sums[keep] / tokens[keep, None]
 
 
-def _pmap(fn, items, threads: int):
-    workers = min(threads, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_stability(
     corpora: Sequence[AuthorCorpus],
     plan: SubsamplePlan,
     lexicon: Lexicon,
     model: TraitModel | None = None,
-    threads: int = 1,
     modes: Sequence[str] | None = None,
 ) -> list[StabilityCurve]:
     """Run the full stability experiment for one plan.
@@ -295,8 +284,8 @@ def run_stability(
     Subsamples that tokenize to nothing are skipped, which
     n_observations reflects.
 
-    Results are byte-identical for any ``threads`` >= 1: per-author work
-    is independent and aggregation runs in sorted author order.
+    Authors are processed one at a time in sorted (author_id, medium)
+    order, so results do not depend on the order of ``corpora``.
     """
     modes = (plan.mode,) if modes is None else tuple(modes)
     if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
@@ -327,30 +316,26 @@ def run_stability(
             return None
         freq = 100.0 * M.sum(axis=0) / total
         return _AuthorData(
-            key=(corpus.author_id, corpus.medium),
             seed=derive_seed(plan.master_seed, corpus.author_id),
             counts=M.astype(np.int32),
             words=w,
             full_values=_author_values(freq, W, b),
         )
 
-    authors = [a for a in _pmap(prepare, ordered, threads) if a is not None]
+    authors = [a for a in map(prepare, ordered) if a is not None]
     if len(authors) < 2:
         raise StatsError(
             f"{len(authors)} eligible author(s); at least 2 are required to "
             "build a population ladder"
         )
 
-    ladder = PopulationStats({
-        name: [a.full_values[j] for a in authors] for j, name in enumerate(names)
-    })
-    full_ranks = {
-        a.key: np.array([ladder.percentile_rank(name, a.full_values[j])
-                         for j, name in enumerate(names)])
-        for a in authors
-    }
+    full = np.array([a.full_values for a in authors])
+    ladder = PopulationStats({name: full[:, j] for j, name in enumerate(names)})
+    full_ranks = np.column_stack([
+        ladder.percentile_ranks(name, full[:, j]) for j, name in enumerate(names)
+    ])
 
-    def profile(author: _AuthorData) -> dict[tuple[str, int], np.ndarray]:
+    def profile(author: _AuthorData, full_rank: np.ndarray) -> dict[tuple[str, int], np.ndarray]:
         out: dict[tuple[str, int], np.ndarray] = {}
         for size in plan.sizes:
             # Random mode draws as many subsamples as contiguous mode yields,
@@ -369,10 +354,10 @@ def run_stability(
                     ladder.percentile_ranks(name, values[:, j])
                     for j, name in enumerate(names)
                 ])
-                out[mode, size] = np.abs(ranks - full_ranks[author.key][None, :])
+                out[mode, size] = np.abs(ranks - full_rank[None, :])
         return out
 
-    per_author = _pmap(profile, authors, threads)
+    per_author = [profile(a, r) for a, r in zip(authors, full_ranks)]
 
     curves = []
     for name in sorted(names):
@@ -402,11 +387,10 @@ def run_stability_modes(
     plan: SubsamplePlan,
     lexicon: Lexicon,
     model: TraitModel | None = None,
-    threads: int = 1,
     modes: Sequence[str] = MODES,
 ) -> list[StabilityCurve]:
     """Run several modes of the same plan; curves sorted by (trait, unit, mode)."""
-    return run_stability(corpora, plan, lexicon, model, threads, modes=modes)
+    return run_stability(corpora, plan, lexicon, model, modes=modes)
 
 
 def minimum_sample_size(

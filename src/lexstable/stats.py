@@ -57,15 +57,12 @@ class PopulationStats:
         return self._column(name).copy()
 
     def percentile_rank(self, name: str, value: float) -> float:
-        """Midrank percentile of ``value`` against the ladder:
-        100 * (count_less + 0.5 * count_equal) / n."""
-        arr = self._column(name)
-        lo = int(np.searchsorted(arr, value, side="left"))
-        hi = int(np.searchsorted(arr, value, side="right"))
-        return 100.0 * (lo + 0.5 * (hi - lo)) / arr.size
+        """Midrank percentile of one value; see ``percentile_ranks``."""
+        return float(self.percentile_ranks(name, [value])[0])
 
     def percentile_ranks(self, name: str, values) -> np.ndarray:
-        """Vectorized midrank percentiles (same convention)."""
+        """Midrank percentiles of ``values`` against the ladder:
+        100 * (count_less + 0.5 * count_equal) / n."""
         arr = self._column(name)
         v = np.asarray(values, dtype=np.float64)
         lo = np.searchsorted(arr, v, side="left")

@@ -16,6 +16,7 @@ Changing one author's id therefore never affects another author.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -73,14 +74,14 @@ class SyntheticSpec:
             self.base_rates = tuple(float(r) for r in self.base_rates)
         if len(self.base_rates) != self.n_categories:
             raise PlanError("base_rates length must equal n_categories")
-        if any(r <= 0.0 for r in self.base_rates):
-            raise PlanError("base_rates must be strictly positive")
+        if not all(0.0 < r < math.inf for r in self.base_rates):
+            raise PlanError("base_rates must be finite and strictly positive")
         if abs(sum(self.base_rates) - 1.0) > 1e-9:
             raise PlanError("base_rates must sum to 1 within 1e-9")
         if not (0.0 <= self.drift_rho < 1.0):
             raise PlanError("drift_rho must be in [0, 1)")
-        if self.drift_sigma < 0.0:
-            raise PlanError("drift_sigma must be >= 0")
+        if not (0.0 <= self.drift_sigma < math.inf):
+            raise PlanError("drift_sigma must be finite and >= 0")
         lo, hi = self.msg_length
         if not (1 <= lo <= hi):
             raise PlanError("msg_length bounds must satisfy 1 <= min <= max")
@@ -103,8 +104,8 @@ def author_rates(spec: SyntheticSpec, author_id: str, rate_jitter: float) -> np.
     exp(jitter * Normal) per category, renormalized. jitter = 0 returns
     base_rates unchanged."""
     rates = np.asarray(spec.base_rates, dtype=np.float64)
-    if rate_jitter < 0.0:
-        raise PlanError("rate_jitter must be >= 0")
+    if not (0.0 <= rate_jitter < math.inf):
+        raise PlanError("rate_jitter must be finite and >= 0")
     if rate_jitter == 0.0:
         return rates.copy()
     g = Stream(derive_seed(spec.seed, "rates", author_id)).gaussians(spec.n_categories)

@@ -125,10 +125,11 @@ def parse_trait_model(lines: Iterable[str], source="<model>") -> TraitModel:
     return TraitModel(model_name=model_name, traits=traits)
 
 
-def infer_traits(fv: FeatureVector, model: TraitModel, lexicon: Lexicon) -> TraitScores:
-    """Apply a model to a feature vector; output follows model order.
+def weight_matrix(model: TraitModel, lexicon: Lexicon):
+    """Dense (n_categories x n_traits) weight matrix plus intercepts,
+    columns in model order and rows in lexicon category order.
 
-    Raises ModelError listing any weight category the lexicon does not
+    Raises ModelError listing every weight category the lexicon does not
     declare.
     """
     name_to_id = lexicon.name_to_id
@@ -140,31 +141,38 @@ def infer_traits(fv: FeatureVector, model: TraitModel, lexicon: Lexicon) -> Trai
             f"model {model.model_name!r} references categories absent from the "
             f"lexicon: {', '.join(missing)}"
         )
-    values: dict[str, float] = {}
-    for spec in model.traits:
-        v = spec.intercept
-        for category, weight in spec.weights.items():
-            v += weight * fv.frequencies.get(name_to_id[category], 0.0)
-        values[spec.trait_name] = v
-    return TraitScores(model_name=model.model_name, values=values)
-
-
-def weight_matrix(model: TraitModel, lexicon: Lexicon):
-    """Dense (n_categories x n_traits) weight matrix plus intercepts,
-    columns in model order and rows in lexicon category order. Used by
-    the bulk stability path; matches infer_traits up to float summation
-    order."""
-    name_to_id = lexicon.name_to_id
-    col_of = {cid: j for j, cid in enumerate(lexicon.category_ids)}
-    W = np.zeros((len(col_of), len(model.traits)))
+    row_of = {cid: k for k, cid in enumerate(lexicon.category_ids)}
+    W = np.zeros((len(row_of), len(model.traits)))
     b = np.zeros(len(model.traits))
     for j, spec in enumerate(model.traits):
         b[j] = spec.intercept
         for category, weight in spec.weights.items():
-            if category not in name_to_id:
-                raise ModelError(
-                    f"model {model.model_name!r} references categories absent "
-                    f"from the lexicon: {category}"
-                )
-            W[col_of[name_to_id[category]], j] = weight
+            W[row_of[name_to_id[category]], j] = weight
     return W, b
+
+
+def project(freq, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trait values of category frequencies ``freq`` (shape ``(...,
+    n_categories)``, lexicon order) under ``weight_matrix``'s ``W, b``.
+
+    Each value starts from its intercept and adds ``frequency * weight``
+    per weighted category in lexicon order, elementwise: a row's values
+    do not depend on how many rows are projected together.
+    """
+    freq = np.asarray(freq, dtype=np.float64)
+    out = np.full(freq.shape[:-1] + b.shape, b)
+    for k in np.flatnonzero(W.any(axis=1)):
+        out += freq[..., k, None] * W[k]
+    return out
+
+
+def infer_traits(fv: FeatureVector, model: TraitModel, lexicon: Lexicon) -> TraitScores:
+    """Apply a model to a feature vector; output follows model order.
+
+    Raises ModelError listing any weight category the lexicon does not
+    declare.
+    """
+    W, b = weight_matrix(model, lexicon)
+    freq = [fv.frequencies.get(cid, 0.0) for cid in lexicon.category_ids]
+    values = project(freq, W, b).tolist()
+    return TraitScores(model_name=model.model_name, values=dict(zip(model.trait_names, values)))

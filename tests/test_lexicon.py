@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lexstable.errors import EmptySampleError, LexiconError
 from lexstable.lexicon import (
@@ -99,6 +101,40 @@ def test_roundtrip_through_file(tmp_path, toy):
     path = tmp_path / "toy.dic"
     write_lexicon(toy, path)
     assert load_lexicon(path) == toy
+
+
+# Field text as a dictionary file can hold it: no tab, and none of the
+# characters that end a line when the file is read back.
+_FIELD = st.text(
+    st.characters(blacklist_categories=("Cs",),
+                  blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    min_size=1, max_size=8,
+)
+
+
+@given(
+    categories=st.lists(st.tuples(st.integers(-10**6, 10**6), _FIELD), min_size=1, max_size=5,
+                        unique_by=(lambda c: c[0], lambda c: c[1].strip())),
+    entries=st.lists(st.tuples(_FIELD, st.sampled_from(["", "*"]),
+                               st.lists(st.integers(0, 4), min_size=1, max_size=3)),
+                     max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_write_lexicon_inverts_load_lexicon(tmp_path_factory, categories, entries):
+    ids = [cid for cid, _ in categories]
+    lines = ["%", *(f"{cid}\t{name}" for cid, name in categories), "%"]
+    lines += [word + star + "\t" + "\t".join(str(ids[r % len(ids)]) for r in refs)
+              for word, star, refs in entries]
+    directory = tmp_path_factory.mktemp("lexicon")
+    source = directory / "source.dic"
+    source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        lexicon = load_lexicon(source)
+    except LexiconError:
+        assume(False)  # not a valid dictionary: blank name, empty prefix, ...
+    written = directory / "written.dic"
+    write_lexicon(lexicon, written)
+    assert load_lexicon(written) == lexicon
 
 
 # --- scoring -----------------------------------------------------------

@@ -323,15 +323,6 @@ UNIT_PLANS = {
 BOTH_MODES = ("random", "contiguous")
 
 
-def test_thread_count_does_not_change_results(small_population):
-    corpora, lexicon = small_population
-    for unit_plan in UNIT_PLANS.values():
-        p = plan(**unit_plan)
-        one = run_stability_modes(corpora, p, lexicon, threads=1, modes=BOTH_MODES)
-        many = run_stability_modes(corpora, p, lexicon, threads=8, modes=BOTH_MODES)
-        assert one == many
-
-
 def test_input_order_does_not_change_results(small_population):
     corpora, lexicon = small_population
     for unit_plan in UNIT_PLANS.values():
@@ -362,36 +353,6 @@ def test_run_stability_validates_modes(small_population):
     for modes in [(), ("random", "random"), ("sideways",)]:
         with pytest.raises(PlanError):
             run_stability(corpora, plan(base=240, sizes=(10,)), lexicon, modes=modes)
-
-
-@pytest.mark.parametrize("threads, items, cpus, workers", [
-    (1, 5, 4, None),   # one thread: no pool
-    (3, 1, 4, None),   # one item: no pool
-    (8, 3, 4, 3),      # bounded by the items
-    (8, 5, 2, 2),      # bounded by the CPUs
-    (2, 5, 4, 2),
-])
-def test_worker_count_is_bounded(threads, items, cpus, workers):
-    started = []
-
-    class RecordingPool:  # runs serially; records what a real pool would be asked for
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, xs):
-            return map(fn, xs)
-
-    with mock.patch.object(stability, "ThreadPoolExecutor", RecordingPool), \
-         mock.patch.object(stability.os, "cpu_count", lambda: cpus):
-        out = stability._pmap(lambda x: x * x, list(range(items)), threads)
-    assert out == [x * x for x in range(items)]
-    assert started == ([] if workers is None else [workers])
 
 
 def test_zero_variability_of_full_sample_against_itself(small_population):

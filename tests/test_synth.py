@@ -43,6 +43,18 @@ def test_spec_validation():
         small_spec(msg_length=(6, 5))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_rates_rejected(bad):
+    with pytest.raises(PlanError, match="finite"):
+        small_spec(drift_sigma=bad)
+    with pytest.raises(PlanError, match="finite"):
+        small_spec(base_rates=(0.5, 0.5, bad))
+    with pytest.raises(PlanError):
+        small_spec(drift_rho=bad)
+    with pytest.raises(PlanError, match="finite"):
+        author_rates(small_spec(), "a", bad)
+
+
 def test_default_rates_uniform():
     spec = small_spec()
     assert spec.base_rates == (1 / 3, 1 / 3, 1 / 3)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lexstable.errors import ModelError
@@ -6,6 +7,7 @@ from lexstable.traits import (
     infer_traits,
     load_trait_model,
     parse_trait_model,
+    project,
     weight_matrix,
 )
 
@@ -137,3 +139,25 @@ def test_weight_matrix_agrees_with_infer():
     bulk = freq @ W + b
     for j, name in enumerate(model.trait_names):
         assert bulk[j] == pytest.approx(scores.values[name], abs=1e-12)
+
+
+def test_project_batch_equals_each_row_bit_for_bit():
+    rng = np.random.default_rng(7)
+    W = rng.normal(size=(9, 4))
+    W[[2, 5]] = 0.0  # unweighted categories
+    b = rng.normal(size=4)
+    freq = 100.0 * rng.random((257, 9))
+    batch = project(freq, W, b)
+    assert batch.shape == (257, 4)
+    rows = np.array([project(row, W, b) for row in freq])
+    assert batch.tobytes() == rows.tobytes()
+
+
+def test_infer_traits_is_project_of_the_frequencies():
+    model = load_trait_model(data_path("toy_big5.model"))
+    lexicon = load_lexicon(data_path("demo.dic"))
+    vector = score_features(["I love my work because we talk and think happily you know"], lexicon)
+    W, b = weight_matrix(model, lexicon)
+    freq = [vector.frequencies[cid] for cid in lexicon.category_ids]
+    projected = dict(zip(model.trait_names, project(freq, W, b).tolist()))
+    assert infer_traits(vector, model, lexicon).values == projected
