@@ -2,10 +2,10 @@
 
 Subcommands: ingest, score, traits, compare, stability, renorm, synth.
 Exit codes: 0 success, 2 usage/validation error, 1 runtime error. Given
-the same inputs and seed, every run writes byte-identical output files,
-and a ``run_manifest.json`` capturing the resolved configuration and
-content digests of the input files is written next to the primary
-output.
+the same inputs and seed, every run writes byte-identical output files.
+Each command that writes a file also writes a ``run_manifest.json``
+capturing the resolved configuration and content digests of the input
+files next to its primary output; ``renorm`` writes neither.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs, primary_out)
         "flags": flags,
         "input_digests": {str(p): _sha256(p) for p in sorted(str(i) for i in inputs)},
     }
-    out_dir = Path(primary_out).parent if primary_out else Path.cwd()
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+    with open(Path(primary_out).parent / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -199,7 +198,6 @@ def cmd_renorm(args) -> int:
         (dst[args.trait]["mean"], dst[args.trait]["sd"]),
     )
     print(fmt(mapped))
-    _write_manifest("renorm", args, [args.from_stats, args.to_stats], None)
     return 0
 
 

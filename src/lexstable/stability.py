@@ -8,6 +8,10 @@ the absolute difference, in percentile points on that shared ladder,
 between the subsample's value and the author's full-sample value.
 Curves aggregate mean / sd / 95th-percentile variability per size.
 
+The unit is a weight per message: 1 for messages, its token count for
+words. The full sample, each contiguous block and each random draw is
+the shortest run of messages whose weight reaches the base or the size.
+
 Each author is prepared once: one tokenizing pass over its messages
 gives the per-message category and word counts, from which the full
 sample, its values and its rank on the ladder follow. That one prepared
@@ -23,6 +27,8 @@ prefix.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,28 +103,27 @@ class StabilityCurve:
     points: list[VariabilityPoint]
 
 
-def _full_range(n_messages: int, words: np.ndarray | None, plan: SubsamplePlan, author_id: str) -> slice:
-    """The full sample's slice of an author's messages. ``words`` holds
-    the per-message word counts and is needed for the word unit only."""
-    if plan.unit == "messages":
-        if n_messages < plan.base_size:
-            raise IneligibleAuthorError(
-                f"author {author_id!r} has {n_messages} messages; "
-                f"base size is {plan.base_size}"
-            )
-        if plan.anchor == "earliest":
-            return slice(0, plan.base_size)
-        return slice(n_messages - plan.base_size, n_messages)
-    if int(words.sum()) < plan.base_size:
+def _unit_weights(messages: Sequence[Message], unit: str) -> np.ndarray:
+    """Each message's weight in ``unit``: 1 per message, or its word count.
+    Unit weights are a read-only broadcast view, so a prepared author
+    stores no array for them."""
+    if unit == "messages":
+        return np.broadcast_to(np.int64(1), len(messages))
+    return np.array([m.word_count for m in messages], dtype=np.int64)
+
+
+def _full_range(weights: np.ndarray, plan: SubsamplePlan, author_id: str) -> slice:
+    """The full sample's slice of an author's messages: the shortest run
+    from the anchored end whose weight reaches the base size."""
+    total = int(weights.sum())
+    if total < plan.base_size:
         raise IneligibleAuthorError(
-            f"author {author_id!r} has {int(words.sum())} words; "
-            f"base size is {plan.base_size}"
+            f"author {author_id!r} has {total} {plan.unit}; base size is {plan.base_size}"
         )
     if plan.anchor == "earliest":
-        stop = int(np.searchsorted(np.cumsum(words), plan.base_size, side="left"))
-        return slice(0, stop + 1)
-    start = int(np.searchsorted(np.cumsum(words[::-1]), plan.base_size, side="left"))
-    return slice(n_messages - start - 1, n_messages)
+        return slice(0, int(np.searchsorted(np.cumsum(weights), plan.base_size)) + 1)
+    n = weights.size
+    return slice(n - 1 - int(np.searchsorted(np.cumsum(weights[::-1]), plan.base_size)), n)
 
 
 def full_sample(corpus: AuthorCorpus, plan: SubsamplePlan) -> list[Message]:
@@ -126,25 +131,19 @@ def full_sample(corpus: AuthorCorpus, plan: SubsamplePlan) -> list[Message]:
     the corpus; word unit includes the message that crosses the
     threshold. Raises IneligibleAuthorError below base size."""
     msgs = corpus.messages
-    words = None
-    if plan.unit == "words":
-        words = np.array([m.word_count for m in msgs], dtype=np.int64)
-    return msgs[_full_range(len(msgs), words, plan, corpus.author_id)]
+    return msgs[_full_range(_unit_weights(msgs, plan.unit), plan, corpus.author_id)]
 
 
-def _contiguous_blocks(words: np.ndarray, unit: str, base_size: int, size: int) -> list[np.ndarray]:
-    """floor(base/size) consecutive blocks of the full sample, earliest
-    first; a word-unit block grows until it reaches ``size`` words, and
-    a short trailing remainder ends the walk."""
-    target = base_size // size
-    if unit == "messages":
-        return [np.arange(i * size, (i + 1) * size) for i in range(target)]
-    ends = np.concatenate(([0], np.cumsum(words)))  # ends[i]: words before message i
+def _contiguous_blocks(weights: np.ndarray, base_size: int, size: int) -> list[np.ndarray]:
+    """At most floor(base/size) consecutive blocks of the full sample,
+    earliest first; each block grows until its weight reaches ``size``,
+    and a short trailing remainder ends the walk."""
+    ends = np.concatenate(([0], np.cumsum(weights))).tolist()  # ends[i]: weight before message i
     blocks: list[np.ndarray] = []
     i = 0
-    while len(blocks) < target:
-        j = int(np.searchsorted(ends, ends[i] + size, side="left"))
-        if j == ends.size:
+    for _ in range(base_size // size):
+        j = bisect_left(ends, ends[i] + size, i)
+        if j == len(ends):
             break  # trailing remainder, discarded
         blocks.append(np.arange(i, j))
         i = j
@@ -156,79 +155,80 @@ def _contiguous_blocks(words: np.ndarray, unit: str, base_size: int, size: int) 
 _KEY_BLOCK = 1 << 14
 
 
-def random_subsamples(
-    words: np.ndarray, unit: str, size: int, author_seed: int, count: int
-) -> list[np.ndarray]:
-    """``count`` random subsamples of a full sample whose per-message word
-    counts are ``words``.
+def _draw_depth(weights: np.ndarray, size: int) -> int:
+    """First guess at how deep a random draw sorts its keys: the expected
+    prefix length to reach ``size`` plus four standard deviations of it,
+    which is exactly ``size`` for unit weights."""
+    n = weights.size
+    total = int(weights.sum())
+    if total == 0:
+        return n
+    mean = total / n
+    depth = size / mean
+    return min(n, math.ceil(depth + 4.0 * float(weights.std()) / mean * math.sqrt(depth)))
 
-    Subsample ``i`` comes from the stream seeded
-    ``derive_seed(author_seed, size, i)``: the first ``size`` entries of
-    its ``permutation(len(words))`` for the message unit, the shortest
-    prefix of that permutation reaching ``size`` words for the word unit.
-    The keys of many streams are generated at once (counter mode) and
-    only each row's smallest keys are sorted.
-    """
-    n = words.size
+
+def random_subsamples(
+    weights: np.ndarray, size: int, author_seed: int, count: int
+) -> list[np.ndarray]:
+    """``count`` random subsamples of a full sample with per-message
+    ``weights``, each drawn without replacement: subsample ``i`` is the
+    shortest prefix of ``Stream(derive_seed(author_seed, size, i))
+    .permutation(len(weights))`` whose weight reaches ``size`` (for unit
+    weights, its first ``size`` entries). The keys of many streams are
+    generated at once (counter mode)."""
+    n = weights.size
     seeds = [derive_seed(author_seed, size, i) for i in range(count)]
-    if unit == "messages":
-        guess = size
-    else:  # twice the expected prefix length; widened where it falls short
-        guess = min(n, 2 * size * n // max(int(words.sum()), 1) + 8)
+    guess = _draw_depth(weights, size)
     rows = max(1, _KEY_BLOCK // max(n, 1))
     picks: list[np.ndarray] = []
     for lo in range(0, count, rows):
-        keys = uniform_keys(seeds[lo:lo + rows], n)
-        if unit == "messages":
-            picks.extend(stable_smallest(keys, size))
-        else:
-            picks.extend(_word_prefixes(keys, words, size, guess))
+        picks.extend(_prefixes(uniform_keys(seeds[lo:lo + rows], n), weights, size, guess))
     return picks
 
 
-def _word_prefixes(keys: np.ndarray, words: np.ndarray, size: int, m: int) -> list[np.ndarray]:
+def _prefixes(keys: np.ndarray, weights: np.ndarray, size: int, m: int) -> list[np.ndarray]:
     """Per row of ``keys``, the shortest prefix of its stable key order
-    whose word count reaches ``size`` (the whole order if none does).
-    Rows are sorted ``m`` keys deep, doubling ``m`` for rows not yet
-    resolved."""
-    n = keys.shape[1]
-    out: list[np.ndarray] = [None] * len(keys)
-    todo = np.arange(len(keys))
-    while todo.size:
-        order = stable_smallest(keys[todo], m)
-        cw = np.cumsum(words[order], axis=1)
-        done = (cw[:, -1] >= size) | (m >= n)
-        stops = np.count_nonzero(cw < size, axis=1) + 1
-        for r, row, stop in zip(todo[done], order[done], stops[done]):
-            out[r] = row[:stop]
-        todo = todo[~done]
-        m = min(n, 2 * m)
+    whose weight reaches ``size`` (the whole order if none does). Rows
+    are sorted ``m`` keys deep; rows that fall short are redone twice as
+    deep."""
+    order = stable_smallest(keys, m)
+    stops = np.count_nonzero(np.cumsum(weights[order], axis=1) < size, axis=1) + 1
+    out = [row[:stop] for row, stop in zip(order, stops.tolist())]
+    short = np.flatnonzero(stops > m) if m < keys.shape[1] else ()
+    if len(short):
+        deeper = _prefixes(keys[short], weights, size, min(keys.shape[1], 2 * m))
+        for r, row in zip(short, deeper):
+            out[r] = row
     return out
+
+
+def _subsample_picks(
+    weights: np.ndarray, base_size: int, size: int, author_seed: int, modes: Sequence[str]
+) -> dict[str, list[np.ndarray]]:
+    """Each mode's subsamples of one full sample at one size, as index
+    arrays. Random mode draws as many subsamples as contiguous mode
+    yields blocks, so the two modes compare equal observation counts."""
+    blocks = _contiguous_blocks(weights, base_size, size)
+    return {mode: blocks if mode == "contiguous" else random_subsamples(weights, size, author_seed, len(blocks))
+            for mode in modes}
 
 
 def make_subsamples(
     corpus: AuthorCorpus, plan: SubsamplePlan, size: int, author_seed: int
 ) -> list[list[Message]]:
-    """Subsample message lists for one author at one size.
-
-    Contiguous mode partitions the full sample, earliest first, into
-    floor(base/size) disjoint consecutive blocks (word unit: blocks
-    accumulate messages until the size is reached, crossing message
-    included; a short trailing remainder is discarded). Random mode
-    draws the same number of subsamples uniformly without replacement
-    within each subsample (overlap across subsamples allowed), seeded
-    per (author, size, index).
-    """
+    """Subsample message lists for one author at one size, in
+    plan.mode: the contiguous blocks of ``_contiguous_blocks`` or as
+    many draws of ``random_subsamples``, seeded per (author, size,
+    index)."""
     if size < 1:
         raise PlanError("size must be positive")
     if 2 * size > plan.base_size:
         raise PlanError(f"size {size} exceeds base/2 ({plan.base_size // 2})")
     full = full_sample(corpus, plan)
-    words = np.array([m.word_count for m in full], dtype=np.int64)
-    blocks = _contiguous_blocks(words, plan.unit, plan.base_size, size)
-    if plan.mode == "random":
-        blocks = random_subsamples(words, plan.unit, size, author_seed, len(blocks))
-    return [[full[i] for i in idx] for idx in blocks]
+    weights = _unit_weights(full, plan.unit)
+    picks = _subsample_picks(weights, plan.base_size, size, author_seed, (plan.mode,))[plan.mode]
+    return [[full[i] for i in idx] for idx in picks]
 
 
 def trait_variability(
@@ -246,6 +246,7 @@ class _AuthorData:
     seed: int              # derive_seed(master_seed, author_id)
     counts: np.ndarray     # full-sample per-message category counts (int32: the store stays small)
     words: np.ndarray      # full-sample per-message token counts
+    weights: np.ndarray    # full-sample per-message weights in the plan's unit
     full_values: np.ndarray
 
 
@@ -302,13 +303,15 @@ def run_stability(
     def prepare(corpus: AuthorCorpus) -> _AuthorData | None:
         msgs = corpus.messages
         try:
-            if plan.unit == "messages":  # the slice needs no word counts
-                full = _full_range(len(msgs), None, plan, corpus.author_id)
-                M, w = count_matrix(msgs[full], lexicon)
+            if plan.unit == "messages":  # slice first: later messages are never tokenized
+                msgs = msgs[_full_range(_unit_weights(msgs, plan.unit), plan, corpus.author_id)]
+                M, w = count_matrix(msgs, lexicon)
+                weights = _unit_weights(msgs, plan.unit)
             else:
                 M, w = count_matrix(msgs, lexicon)
-                full = _full_range(len(msgs), w, plan, corpus.author_id)
+                full = _full_range(w, plan, corpus.author_id)
                 M, w = M[full], w[full].copy()
+                weights = w
         except IneligibleAuthorError:
             return None
         total = int(w.sum())
@@ -319,6 +322,7 @@ def run_stability(
             seed=derive_seed(plan.master_seed, corpus.author_id),
             counts=M.astype(np.int32),
             words=w,
+            weights=weights,
             full_values=_author_values(freq, W, b),
         )
 
@@ -338,18 +342,9 @@ def run_stability(
     def profile(author: _AuthorData, full_rank: np.ndarray) -> dict[tuple[str, int], np.ndarray]:
         out: dict[tuple[str, int], np.ndarray] = {}
         for size in plan.sizes:
-            # Random mode draws as many subsamples as contiguous mode yields,
-            # so the two modes compare equal observation counts.
-            blocks = _contiguous_blocks(author.words, plan.unit, plan.base_size, size)
-            for mode in modes:
-                picks = blocks
-                if mode == "random":
-                    picks = random_subsamples(author.words, plan.unit, size, author.seed, len(blocks))
-                freqs = _subsample_frequencies(author, picks)
-                if not len(freqs):  # every subsample tokenized to nothing
-                    out[mode, size] = np.zeros((0, len(names)))
-                    continue
-                values = _author_values(freqs, W, b)
+            picked = _subsample_picks(author.weights, plan.base_size, size, author.seed, modes)
+            for mode, picks in picked.items():
+                values = _author_values(_subsample_frequencies(author, picks), W, b)
                 ranks = np.column_stack([
                     ladder.percentile_ranks(name, values[:, j])
                     for j, name in enumerate(names)

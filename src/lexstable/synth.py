@@ -102,15 +102,19 @@ def companion_lexicon(spec: SyntheticSpec) -> Lexicon:
 def author_rates(spec: SyntheticSpec, author_id: str, rate_jitter: float) -> np.ndarray:
     """Per-author token rates: base_rates perturbed multiplicatively by
     exp(jitter * Normal) per category, renormalized. jitter = 0 returns
-    base_rates unchanged."""
+    base_rates unchanged; a jitter that overflows a rate is a PlanError."""
     rates = np.asarray(spec.base_rates, dtype=np.float64)
     if not (0.0 <= rate_jitter < math.inf):
         raise PlanError("rate_jitter must be finite and >= 0")
     if rate_jitter == 0.0:
         return rates.copy()
     g = Stream(derive_seed(spec.seed, "rates", author_id)).gaussians(spec.n_categories)
-    jittered = rates * np.exp(rate_jitter * g)
-    return jittered / jittered.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        jittered = rates * np.exp(rate_jitter * g)
+        jittered /= jittered.sum()
+    if not np.all(np.isfinite(jittered) & (jittered > 0.0)):
+        raise PlanError(f"rate_jitter {rate_jitter} makes a per-author rate zero or not a finite number")
+    return jittered
 
 
 def _drift_log_rates(stream: Stream, n: int, k: int, rho: float, sigma: float) -> np.ndarray:
@@ -154,10 +158,12 @@ def generate_author(
     stream = Stream(derive_seed(spec.seed, "author", author_id))
     lo, hi = spec.msg_length
     lengths = stream.integers(n, hi - lo + 1) + lo
-    eta = _drift_log_rates(stream, n, k, spec.drift_rho, spec.drift_sigma)
-
-    logits = np.log(base)[None, :] + eta
-    logits -= logits.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _drift_log_rates(stream, n, k, spec.drift_rho, spec.drift_sigma)
+        logits = np.log(base)[None, :] + eta
+        if not np.isfinite(logits).all():
+            raise PlanError(f"drift_sigma {spec.drift_sigma} makes a drift logit not a finite number")
+        logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)

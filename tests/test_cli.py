@@ -52,8 +52,12 @@ def test_synth_reruns_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("flag", ["--jitter", "--drift-rho", "--drift-sigma"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value, flag", [
+    *((v, f) for v in ("nan", "inf") for f in ("--drift-rho", "--drift-sigma", "--jitter")),
+    # finite, but exp(jitter * g) or the drift logits overflow
+    ("800", "--jitter"), ("1e308", "--jitter"), ("1e308", "--drift-sigma"),
+])
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning on the way to the error
 def test_synth_rejects_non_finite_rates(tmp_path, capsys, flag, value):
     corpus = tmp_path / "c.jsonl"
     code = run("synth", "--authors", "2", "--messages", "5", flag, value,
@@ -166,6 +170,7 @@ def test_renorm_command(tmp_path, capsys, monkeypatch):
                "--trait", "t", "--value", "1.0")
     assert code == 1
     assert capsys.readouterr().out == ""
+    assert not (tmp_path / "run_manifest.json").exists()  # renorm writes no file
 
 
 def test_score_skips_a_line_nested_too_deep(tmp_path, synth_files, capsys):

@@ -154,8 +154,24 @@ def test_contiguous_word_blocks_match_the_loop_walk(words, data):
     # zero-word messages sit at block edges, where the walk's stop rule shows
     size = data.draw(st.integers(1, max(1, sum(words))))
     base = data.draw(st.integers(size, max(size, sum(words))))
-    got = stability._contiguous_blocks(np.array(words, dtype=np.int64), "words", base, size)
+    got = stability._contiguous_blocks(np.array(words, dtype=np.int64), base, size)
     assert [b.tolist() for b in got] == _walk_blocks(words, base, size)
+
+
+@given(data=st.data(), anchor=st.sampled_from(["latest", "earliest"]))
+@settings(max_examples=150, deadline=None)
+def test_unit_weights_give_the_message_formulas(data, anchor):
+    size = data.draw(st.integers(1, 60))
+    base = data.draw(st.integers(2 * size, 2 * size + 120))
+    n = data.draw(st.integers(base, base + 50))
+    weights = np.ones(n, dtype=np.int64)
+    full = stability._full_range(weights, plan(base=base, sizes=(size,), anchor=anchor), "a")
+    assert full == (slice(0, base) if anchor == "earliest" else slice(n - base, n))
+    blocks = stability._contiguous_blocks(weights[full], base, size)
+    assert len(blocks) == base // size
+    for i, block in enumerate(blocks):
+        assert np.array_equal(block, np.arange(i * size, (i + 1) * size))
+    assert stability._draw_depth(weights[full], size) == size
 
 
 # --- make_subsamples: random --------------------------------------------
@@ -205,7 +221,7 @@ def test_message_draw_equals_each_streams_permutation(n, data, seed, block):
     size = data.draw(st.integers(1, n))
     count = data.draw(st.integers(1, 12))
     with mock.patch.object(stability, "_KEY_BLOCK", block):  # 8: one stream per block
-        picks = random_subsamples(np.ones(n, dtype=np.int64), "messages", size, seed, count)
+        picks = random_subsamples(np.ones(n, dtype=np.int64), size, seed, count)
     assert len(picks) == count
     for i, pick in enumerate(picks):
         want = Stream(derive_seed(seed, size, i)).permutation(n)[:size]
@@ -221,7 +237,7 @@ def test_message_draw_equals_each_streams_permutation(n, data, seed, block):
 def test_word_draw_equals_cumulative_prefix_of_each_permutation(words, data, seed):
     w = np.array(words, dtype=np.int64)
     size = data.draw(st.integers(1, max(1, int(w.sum()))))
-    picks = random_subsamples(w, "words", size, seed, 6)
+    picks = random_subsamples(w, size, seed, 6)
     for i, pick in enumerate(picks):
         perm = Stream(derive_seed(seed, size, i)).permutation(w.size)
         stop = int(np.searchsorted(np.cumsum(w[perm]), size, side="left"))
@@ -229,15 +245,26 @@ def test_word_draw_equals_cumulative_prefix_of_each_permutation(words, data, see
 
 
 def test_word_draw_widens_past_its_first_guess():
-    # one long message among short ones: a prefix reaches 500 words only
-    # once it holds the long message, wherever the permutation put it, so
-    # some prefixes run past the first guess of about twice the mean
-    w = np.array([1] * 199 + [1000], dtype=np.int64)
-    picks = random_subsamples(w, "words", 500, 17, 20)
-    assert max(p.size for p in picks) > 2 * 500 * w.size // int(w.sum()) + 8
+    # one huge message among ones: the expected prefix is about one message
+    # deep, but a prefix reaches 200 words only once it holds the huge
+    # message or 200 ones, so most prefixes run past the first guess
+    w = np.array([1] * 399 + [100_000], dtype=np.int64)
+    guess = stability._draw_depth(w, 200)
+    assert guess < w.size
+    picks = random_subsamples(w, 200, 17, 20)
+    assert max(p.size for p in picks) > guess
     for i, pick in enumerate(picks):
-        perm = Stream(derive_seed(17, 500, i)).permutation(w.size)
-        assert np.array_equal(pick, perm[: int(np.flatnonzero(perm == 199)[0]) + 1])
+        perm = Stream(derive_seed(17, 200, i)).permutation(w.size)
+        stop = min(200, int(np.flatnonzero(perm == 399)[0]) + 1)
+        assert np.array_equal(pick, perm[:stop])
+
+
+def test_draw_of_all_zero_weights_is_the_whole_permutation():
+    # no prefix reaches the size, and the first guess must not divide by zero
+    w = np.zeros(7, dtype=np.int64)
+    assert stability._draw_depth(w, 3) == 7
+    for i, pick in enumerate(random_subsamples(w, 3, 5, 4)):
+        assert np.array_equal(pick, Stream(derive_seed(5, 3, i)).permutation(7))
 
 
 def test_make_subsamples_validates_size():

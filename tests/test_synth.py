@@ -55,6 +55,14 @@ def test_non_finite_rates_rejected(bad):
         author_rates(small_spec(), "a", bad)
 
 
+@pytest.mark.parametrize("jitter, sigma", [(800.0, 0.0), (1e308, 0.0), (0.0, 1e308)])
+def test_finite_values_that_overflow_the_rates_rejected(jitter, sigma):
+    # exp(jitter * g) or the drift logits overflow: the corpus would
+    # collapse onto one category
+    with pytest.raises(PlanError, match="not a finite number"):
+        generate_population(small_spec(drift_sigma=sigma), 2, jitter)
+
+
 def test_default_rates_uniform():
     spec = small_spec()
     assert spec.base_rates == (1 / 3, 1 / 3, 1 / 3)
