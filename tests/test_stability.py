@@ -24,7 +24,7 @@ from lexstable.stability import (
     trait_variability,
 )
 from lexstable.stats import PopulationStats
-from lexstable.synth import SyntheticSpec, generate_population
+from lexstable.synth import SyntheticSpec, generate_population, vocab_word
 from lexstable.traits import parse_trait_model
 
 EPOCH = datetime(2014, 1, 1, tzinfo=timezone.utc)
@@ -340,6 +340,17 @@ def test_run_stability_needs_two_eligible(small_population):
     # authors below base are excluded; all excluded -> error
     with pytest.raises(StatsError):
         run_stability(corpora, plan(base=10_000, sizes=(10,)), lexicon)
+
+
+def test_subsamples_without_tokens_are_skipped(small_population):
+    corpora, lexicon = small_population
+    # the quiet author's only token is in its last message, past its two
+    # blocks of two: both tokenize to nothing and give no observation
+    texts = [""] * 4 + [vocab_word(1, 0)]
+    quiet = AuthorCorpus("quiet", "synthetic", [
+        Message("quiet", EPOCH + timedelta(minutes=i), "synthetic", t) for i, t in enumerate(texts)])
+    curves = run_stability(corpora + [quiet], plan(base=5, sizes=(2,)), lexicon)
+    assert [pt.n_observations for c in curves for pt in c.points] == [12 * 2] * 4
 
 
 # One plan per unit; the word-unit base fits every author of small_population.
