@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write
 from .errors import EmptySampleError, LexstableError, PlanError
 from .ingest import build_author_corpora, parse_messages, read_corpus, write_corpus, FORMATS
 from .lexicon import load_lexicon, score_features, write_lexicon
@@ -55,7 +56,7 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs, primary_out)
         "flags": flags,
         "input_digests": {str(p): _sha256(p) for p in sorted(str(i) for i in inputs)},
     }
-    with open(Path(primary_out).parent / "run_manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(Path(primary_out).parent / "run_manifest.json") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -121,7 +122,7 @@ def cmd_score(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     corpora = _load_corpora(args.corpus, args.min_messages, args.min_words)
     names, scored, _ = _score_authors(corpora, lexicon, None)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["author_id", "medium", "messages", "tokens"] + names)
         writer.writerows(
@@ -140,7 +141,7 @@ def cmd_traits(args) -> int:
     model = load_trait_model(args.model)
     corpora = _load_corpora(args.corpus, args.min_messages, args.min_words)
     names, scored, _ = _score_authors(corpora, lexicon, model)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["author_id", "medium"] + names)
         writer.writerows(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
 
+from .atomic import atomic_write
 from .lexicon import tokenize
 
 KNOWN_MEDIA = ("twitter", "email", "blog", "forum", "wiki")
@@ -36,41 +37,32 @@ _MONTHS = {m: i + 1 for i, m in enumerate(
 )}
 
 
-class _WordCount:
-    """Descriptor for ``Message.word_count``: the value supplied, else
-    the tokenizer's count of ``text``, computed on first read."""
-
-    def __get__(self, msg, owner=None) -> int:
-        if msg is None:
-            return -1  # the dataclass field default: not supplied
-        if msg._word_count < 0:
-            msg._word_count = len(tokenize(msg.text))
-        return msg._word_count
-
-    def __set__(self, msg, value: int) -> None:
-        msg._word_count = int(value)
-
-
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One timestamped utterance by one author in one medium.
 
-    ``word_count`` is the tokenizer's count of ``text``. When not
-    supplied it is computed on demand, the first time it is read, so
-    messages that are only scored are tokenized only by the scorer.
+    A message is plain data. Its timestamp is stored in UTC: a naive
+    stamp is taken as UTC, and an aware one is converted (OverflowError
+    when its UTC time is outside the datetime range). ``word_count`` is
+    not stored; each read tokenizes ``text``.
     """
 
     author_id: str
     timestamp: datetime
     medium: str
     text: str
-    word_count: int = _WordCount()
 
     def __post_init__(self):
-        if self.timestamp.tzinfo is None:
+        tz = self.timestamp.tzinfo
+        if tz is None:
             self.timestamp = self.timestamp.replace(tzinfo=timezone.utc)
-        else:
+        elif tz is not timezone.utc:
             self.timestamp = self.timestamp.astimezone(timezone.utc)
+
+    @property
+    def word_count(self) -> int:
+        """The tokenizer's count of ``text``."""
+        return len(tokenize(self.text))
 
 
 @dataclass
@@ -398,7 +390,7 @@ def write_corpus(messages, path) -> None:
     """Write messages as canonical corpus JSONL sorted by
     (author_id, timestamp), stable on ties."""
     ordered = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for m in ordered:
             record = {
                 "author_id": m.author_id,

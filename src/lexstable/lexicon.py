@@ -22,10 +22,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import EmptySampleError, LexiconError
 
 # A token is a maximal run of letters, allowing internal apostrophes
@@ -48,30 +50,27 @@ class Lexicon:
     ``categories`` keeps file order; ``exact`` maps whole words and
     ``prefixes`` maps stems (no ``*``) to frozensets of category ids.
     Longest matching prefix wins; an exact entry beats any prefix.
+    ``category_ids``, ``category_names`` and the read-only
+    ``name_to_id`` are derived from ``categories`` once, at
+    construction.
     """
 
     categories: tuple[tuple[int, str], ...]
     exact: dict[str, frozenset[int]]
     prefixes: dict[str, frozenset[int]]
+    category_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    category_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    name_to_id: Mapping[str, int] = field(init=False, compare=False, repr=False)
     _max_prefix_len: int = field(init=False, compare=False, repr=False)
     _memo: dict[str, tuple[int, ...]] = field(
         init=False, compare=False, repr=False, default_factory=dict
     )
 
     def __post_init__(self):
+        self.category_ids = tuple(cid for cid, _ in self.categories)
+        self.category_names = tuple(name for _, name in self.categories)
+        self.name_to_id = MappingProxyType({name: cid for cid, name in self.categories})
         self._max_prefix_len = max((len(p) for p in self.prefixes), default=0)
-
-    @property
-    def category_ids(self) -> tuple[int, ...]:
-        return tuple(cid for cid, _ in self.categories)
-
-    @property
-    def category_names(self) -> tuple[str, ...]:
-        return tuple(name for _, name in self.categories)
-
-    @property
-    def name_to_id(self) -> dict[str, int]:
-        return {name: cid for cid, name in self.categories}
 
     def lookup(self, token: str) -> tuple[int, ...]:
         """Category ids for one lowercase token (sorted, possibly empty)."""
@@ -202,7 +201,7 @@ def write_lexicon(lexicon: Lexicon, path) -> None:
         out.append(word + "\t" + "\t".join(str(c) for c in sorted(lexicon.exact[word])))
     for stem in sorted(lexicon.prefixes):
         out.append(stem + "*\t" + "\t".join(str(c) for c in sorted(lexicon.prefixes[stem])))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(out) + "\n")
 
 

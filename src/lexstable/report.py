@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from typing import Sequence
 
+from .atomic import atomic_write
 from .stability import StabilityCurve
 from .stats import MediaComparisonRow
 
@@ -40,14 +41,14 @@ def write_curves_csv(curves: Sequence[StabilityCurve], path) -> None:
                 fmt(p.p95_empirical), fmt(p.p95_parametric),
             ])
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CURVE_HEADER)
         writer.writerows(rows)
 
 
 def write_comparison_csv(rows: Sequence[MediaComparisonRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COMPARISON_HEADER)
         for r in rows:
@@ -210,5 +211,5 @@ def comparison_svg(rows: Sequence[MediaComparisonRow], baseline: str = "b") -> s
 
 
 def write_svg(svg: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(svg)

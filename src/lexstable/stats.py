@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DegenerateGroupsError, StatsError
 
 LARGE_EFFECT_D = 0.8
@@ -78,7 +79,7 @@ class PopulationStats:
 
 def save_stats_json(stats: PopulationStats, path) -> None:
     """Serialize summary statistics as JSON mapping name -> {n, mean, sd}."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(stats.summary(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -186,7 +186,6 @@ def generate_author(
             timestamp=_EPOCH + timedelta(minutes=t),
             medium=SYNTH_MEDIUM,
             text=" ".join(part.tolist()),
-            word_count=int(lengths[t]),
         ))
     return AuthorCorpus(author_id=author_id, medium=SYNTH_MEDIUM, messages=messages)
 

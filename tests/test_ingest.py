@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -383,12 +384,19 @@ def test_read_corpus_inverts_write_corpus(tmp_path_factory, records):
     assert result.skipped == 0
 
 
-def test_min_words_zero_reads_no_word_counts():
-    messages = [msg("a", 1), msg("a", 2)]
-    build_author_corpora(messages, 1, 0)
-    assert all(m._word_count < 0 for m in messages)  # never tokenized
+def test_min_words_zero_never_tokenizes(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    write_corpus([msg("a", 1), msg("a", 2)], path)
+
+    def no_tokenize(text):
+        raise AssertionError(f"tokenized {text!r}")
+
+    monkeypatch.setattr("lexstable.ingest.tokenize", no_tokenize)
+    messages = read_corpus(path).messages
+    assert len(build_author_corpora(messages, 1, 0)) == 1
+    monkeypatch.undo()
     assert build_author_corpora(messages, 1, 12) != []
-    assert [m.word_count for m in messages] == [6, 6]
+    assert build_author_corpora(messages, 1, 13) == []
 
 
 def test_no_output_tweet_starts_with_rt():
@@ -406,3 +414,29 @@ def test_no_output_tweet_starts_with_rt():
 def test_word_count_matches_tokenizer():
     m = Message("a", ts("2014-03-01T12:00:00Z"), "twitter", "I'm happy, so happy!")
     assert m.word_count == 4
+
+
+def test_message_is_four_fields_of_plain_data():
+    m = Message("a", ts("2014-03-01T12:00:00Z"), "twitter", "hi")
+    assert [f.name for f in fields(Message)] == ["author_id", "timestamp", "medium", "text"]
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(TypeError):
+        Message("a", ts("2014-03-01T12:00:00Z"), "twitter", "hi", word_count=1)
+
+
+def test_message_timestamps_are_stored_in_utc():
+    naive = datetime(2014, 3, 1, 12, 0, 0)
+    stored = Message("a", naive, "m", "").timestamp
+    assert stored.tzinfo is timezone.utc and stored.replace(tzinfo=None) == naive
+
+    india = datetime(2014, 3, 1, 17, 30, 0, tzinfo=timezone(timedelta(hours=5, minutes=30)))
+    stored = Message("a", india, "m", "").timestamp
+    assert stored.tzinfo is timezone.utc and stored == india
+    assert stored.replace(tzinfo=None) == naive
+
+    utc = datetime(2014, 3, 1, 12, 0, 0, tzinfo=timezone.utc)
+    assert Message("a", utc, "m", "").timestamp is utc
+
+    past_max = datetime.max.replace(tzinfo=timezone(timedelta(hours=-1)))
+    with pytest.raises(OverflowError):
+        Message("a", past_max, "m", "")

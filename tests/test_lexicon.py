@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexstable.errors import EmptySampleError, LexiconError
 from lexstable.lexicon import (
+    Lexicon,
     count_matrix,
     load_lexicon,
     parse_lexicon,
@@ -213,3 +214,59 @@ def test_count_matrix_matches_score_features(toy):
     fv = score_features(msgs, toy)
     assert M.sum(axis=0).tolist() == [fv.counts[1], fv.counts[2]]
     assert int(w.sum()) == fv.total_tokens
+
+
+# Letters whose lowercasing or tokenizing is unusual: the final sigma,
+# the dotted capital I (lowers to "i" plus a combining dot, which is not
+# a letter) and the Kelvin sign (lowers to ASCII "k").
+_WORD = st.text(st.sampled_from("aeks'\u03c3\u03c2\u03a3\u03bf\u0130\u0131\u212a"), min_size=1, max_size=4)
+_PIECE = (_WORD | _WORD.map(str.upper) | st.text(max_size=6)
+          | st.sampled_from(["\u2019", "_", "42", "\u0307", "'"]))
+_TEXTS = st.lists(st.lists(_PIECE, max_size=8).map("".join), max_size=5)
+
+
+@st.composite
+def _lexicons(draw):
+    ids = list(range(1, draw(st.integers(1, 4)) + 1))
+    refs = st.frozensets(st.sampled_from(ids), min_size=1)
+    words = _WORD.map(str.lower)
+    return Lexicon(
+        categories=tuple((cid, f"c{cid}") for cid in ids),
+        exact=draw(st.dictionaries(words, refs, max_size=6)),
+        prefixes=draw(st.dictionaries(words, refs, max_size=4)),
+    )
+
+
+_EDGE_LEXICON = parse_lexicon([
+    "%", "1\ta", "2\tb", "%",
+    "i'm\t1", "key\t1\t2", "i\t2", "stan*\t1", "ab*\t2", "snake\t1", "\u03bf\u03b4\u03bf\u03c2\t2",
+])
+
+
+@given(texts=_TEXTS, lexicon=_lexicons())
+@example(texts=["I\u2019m here", "I'm"], lexicon=_EDGE_LEXICON)
+@example(texts=["\u212aey \u212a"], lexicon=_EDGE_LEXICON)
+@example(texts=["\u0130stanbul"], lexicon=_EDGE_LEXICON)
+@example(texts=["abc123def 42"], lexicon=_EDGE_LEXICON)
+@example(texts=["snake_case", "_"], lexicon=_EDGE_LEXICON)
+@example(texts=["\u039f\u0394\u039f\u03a3 \u03bf\u03b4\u03bf\u03c3"], lexicon=_EDGE_LEXICON)
+@settings(max_examples=200, deadline=None)
+def test_count_kernels_match_the_token_loop(texts, lexicon):
+    expected = dict.fromkeys(lexicon.category_ids, 0)
+    lengths = []
+    for text in texts:
+        tokens = tokenize(text)
+        lengths.append(len(tokens))
+        for token in tokens:
+            for cid in lexicon.lookup(token):
+                expected[cid] += 1
+    M, w = count_matrix(texts, lexicon)
+    assert dict(zip(lexicon.category_ids, M.sum(axis=0).tolist())) == expected
+    assert w.tolist() == lengths
+    if sum(lengths) == 0:
+        with pytest.raises(EmptySampleError):
+            score_features(texts, lexicon)
+        return
+    fv = score_features(texts, lexicon)
+    assert fv.counts == expected
+    assert fv.total_tokens == sum(lengths)
