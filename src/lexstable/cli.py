@@ -41,15 +41,7 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(command: str, args: argparse.Namespace, inputs, primary_out) -> None:
-    flags = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "command"):
-            continue
-        if isinstance(value, Path):
-            value = str(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        flags[key] = value
+    flags = {key: value for key, value in sorted(vars(args).items()) if key not in ("func", "command")}
     doc = {
         "command": command,
         "version": __version__,
@@ -119,38 +111,25 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_score(args) -> int:
+    """``score`` (category frequencies, message and token counts) or
+    ``traits`` (a model's trait values): one row per author with tokens."""
     lexicon = load_lexicon(args.lexicon)
+    model = load_trait_model(args.model) if args.command == "traits" else None
     corpora = _load_corpora(args.corpus, args.min_messages, args.min_words)
-    names, scored, _ = _score_authors(corpora, lexicon, None)
+    names, scored, _ = _score_authors(corpora, lexicon, model)
+    counts = model is None
     with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["author_id", "medium", "messages", "tokens"] + names)
+        writer.writerow(["author_id", "medium"] + ["messages", "tokens"] * counts + names)
         writer.writerows(
-            [corpus.author_id, corpus.medium, corpus.total_messages, fv.total_tokens]
+            [corpus.author_id, corpus.medium] + [corpus.total_messages, fv.total_tokens] * counts
             + [fmt(v) for v in values]
             for corpus, fv, values in scored
         )
     if args.stats_out:
         save_stats_json(PopulationStats(_columns(names, scored)), args.stats_out)
-    _write_manifest("score", args, [args.corpus, args.lexicon], args.out)
-    return 0
-
-
-def cmd_traits(args) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    model = load_trait_model(args.model)
-    corpora = _load_corpora(args.corpus, args.min_messages, args.min_words)
-    names, scored, _ = _score_authors(corpora, lexicon, model)
-    with atomic_write(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["author_id", "medium"] + names)
-        writer.writerows(
-            [corpus.author_id, corpus.medium] + [fmt(v) for v in values]
-            for corpus, _, values in scored
-        )
-    if args.stats_out:
-        save_stats_json(PopulationStats(_columns(names, scored)), args.stats_out)
-    _write_manifest("traits", args, [args.corpus, args.lexicon, args.model], args.out)
+    inputs = [args.corpus, args.lexicon] + ([args.model] if model else [])
+    _write_manifest(args.command, args, inputs, args.out)
     return 0
 
 
@@ -264,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", default=None)
     p.add_argument("--min-messages", type=int, default=1)
     p.add_argument("--min-words", type=int, default=0)
-    p.set_defaults(func=cmd_traits)
+    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="cross-media comparison table (effect sizes, CIs, flags)")
     p.add_argument("--corpus-a", required=True)

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 from functools import partial
 
 from .atomic import atomic_write
-from .lexicon import tokenize
+from .lexicon import count_tokens, tokenize
 
 KNOWN_MEDIA = ("twitter", "email", "blog", "forum", "wiki")
 
@@ -80,7 +80,7 @@ class AuthorCorpus:
 
     @property
     def total_words(self) -> int:
-        return sum(m.word_count for m in self.messages)
+        return count_tokens(self.messages)
 
 
 @dataclass
@@ -258,11 +258,7 @@ def strip_quoted(body: str) -> str:
     kept = []
     for line in body.splitlines():
         trimmed = line.strip()
-        if trimmed == _ORIG_MSG:
-            break
-        if _ON_WROTE_RE.match(trimmed):
-            break
-        if line == _SIG_DELIM:
+        if trimmed == _ORIG_MSG or _ON_WROTE_RE.match(trimmed) or line == _SIG_DELIM:
             break
         if line.startswith(">"):
             continue
@@ -285,9 +281,7 @@ def _message_boundaries(data: bytes) -> list[bytes]:
 def _first_text_plain(msg) -> str:
     parts = msg.walk() if msg.is_multipart() else [msg]
     for part in parts:
-        if part.is_multipart():
-            continue
-        if part.get_content_type() != "text/plain":
+        if part.is_multipart() or part.get_content_type() != "text/plain":
             continue
         payload = part.get_payload(decode=True)
         if payload is None:

@@ -15,12 +15,19 @@ A line containing only ``%`` opens the category block and a second one
 closes it. A trailing ``*`` marks a prefix entry; all other entries
 match whole tokens. An entry may list several category ids. Lines whose
 first non-blank character is ``#`` and blank lines are ignored.
+
+Counting: ``count_matrix`` and ``score_features`` run one ``findall``
+over the sample's lowered messages joined by the sentinel ``" A "``
+(``str.lower`` never yields an ASCII ``A``), with an ASCII pattern when
+the lowered text is ASCII (U+212A lowers to ``k``, U+0130 to two code
+points). Tokens index an incidence matrix with one row per distinct
+category pattern, so every dictionary miss shares one zero row; a token
+goes through ``Lexicon.lookup`` once, when first seen.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -34,6 +41,8 @@ from .errors import EmptySampleError, LexiconError
 # ("i'm" is one token). Digits, underscore and punctuation separate
 # tokens. U+2019 is folded to the ASCII apostrophe before matching.
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
+# The same tokens on lowered ASCII text, plus the counting sentinel A.
+_ASCII_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*|A")
 
 
 def tokenize(text: str) -> list[str]:
@@ -52,7 +61,7 @@ class Lexicon:
     Longest matching prefix wins; an exact entry beats any prefix.
     ``category_ids``, ``category_names`` and the read-only
     ``name_to_id`` are derived from ``categories`` once, at
-    construction.
+    construction; the counting vocabulary grows as tokens are first seen.
     """
 
     categories: tuple[tuple[int, str], ...]
@@ -61,31 +70,52 @@ class Lexicon:
     category_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
     category_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
     name_to_id: Mapping[str, int] = field(init=False, compare=False, repr=False)
-    _max_prefix_len: int = field(init=False, compare=False, repr=False)
-    _memo: dict[str, tuple[int, ...]] = field(
-        init=False, compare=False, repr=False, default_factory=dict
-    )
+    _prefix_lengths: list[int] = field(init=False, compare=False, repr=False)
+    _vocabulary: _Vocabulary = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.category_ids = tuple(cid for cid, _ in self.categories)
         self.category_names = tuple(name for _, name in self.categories)
         self.name_to_id = MappingProxyType({name: cid for cid, name in self.categories})
-        self._max_prefix_len = max((len(p) for p in self.prefixes), default=0)
+        self._prefix_lengths = sorted({len(p) for p in self.prefixes}, reverse=True)
+        self._vocabulary = _Vocabulary(self)
 
     def lookup(self, token: str) -> tuple[int, ...]:
         """Category ids for one lowercase token (sorted, possibly empty)."""
-        hit = self._memo.get(token)
-        if hit is not None:
-            return hit
         ids = self.exact.get(token)
         if ids is None:
-            for k in range(min(len(token), self._max_prefix_len), 0, -1):
+            for k in self._prefix_lengths:  # past len(token), token[:k] is token
                 ids = self.prefixes.get(token[:k])
                 if ids is not None:
                     break
-        out = tuple(sorted(ids)) if ids else ()
-        self._memo[token] = out
-        return out
+        return tuple(sorted(ids)) if ids else ()
+
+
+class _Vocabulary(dict):
+    """Token -> row of ``incidence`` (int32, one column per declared
+    category): row 0 is every miss's and row 1 the sentinel's, both zero;
+    each other row is one distinct category pattern."""
+
+    def __init__(self, lexicon: Lexicon):
+        super().__init__(A=1)
+        self.lexicon, self.rows = lexicon, {(): 0}
+        self.incidence = np.zeros((2, len(lexicon.categories)), dtype=np.int32)
+
+    def __missing__(self, token: str) -> int:
+        row = self[token] = self.rows.setdefault(self.lexicon.lookup(token), len(self.rows) + 1)
+        return row
+
+    def encode(self, messages) -> np.ndarray:
+        """Row ids of every token of ``messages``, each message's followed
+        by the sentinel's; ``incidence`` grows to cover new rows."""
+        tokens = _tokens(messages)
+        ids = np.fromiter(map(self.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        if len(self.incidence) <= len(self.rows):
+            col = {cid: j for j, cid in enumerate(self.lexicon.category_ids)}
+            self.incidence = np.zeros((len(self.rows) + 1, len(col)), dtype=np.int32)
+            for pattern, row in self.rows.items():
+                self.incidence[row, [col[cid] for cid in pattern]] = 1
+        return ids
 
 
 @dataclass
@@ -138,15 +168,15 @@ def parse_lexicon(lines: Iterable[str], source="<lexicon>") -> Lexicon:
             continue
         if section == "preamble":
             raise _parse_error(source, line_no, "content before category block")
+        parts = [p.strip() for p in line.split("\t") if p.strip()]
         if section == "categories":
-            parts = [p for p in line.split("\t") if p.strip()]
             if len(parts) != 2:
                 raise _parse_error(source, line_no, "category line must be '<id><TAB><name>'")
             try:
-                cid = int(parts[0].strip())
+                cid = int(parts[0])
             except ValueError:
-                raise _parse_error(source, line_no, f"category id {parts[0].strip()!r} is not an integer") from None
-            name = parts[1].strip()
+                raise _parse_error(source, line_no, f"category id {parts[0]!r} is not an integer") from None
+            name = parts[1]
             if cid in ids_seen:
                 raise _parse_error(source, line_no, f"duplicate category id {cid}")
             if name in names_seen:
@@ -156,26 +186,20 @@ def parse_lexicon(lines: Iterable[str], source="<lexicon>") -> Lexicon:
             categories.append((cid, name))
             continue
         # entries
-        parts = [p for p in line.split("\t") if p.strip()]
         if len(parts) < 2:
             raise _parse_error(source, line_no, "entry line must be '<word><TAB><id>[<TAB><id>...]'")
-        word = parts[0].strip().lower()
+        word = parts[0].lower()
         try:
-            refs = [int(p.strip()) for p in parts[1:]]
+            refs = [int(p) for p in parts[1:]]
         except ValueError:
             raise _parse_error(source, line_no, "category references must be integers") from None
         for ref in refs:
             if ref not in ids_seen:
                 raise _parse_error(source, line_no, f"entry references undeclared category {ref}")
-        if word.endswith("*"):
-            stem = word[:-1]
-            if not stem:
-                raise _parse_error(source, line_no, "empty prefix entry")
-            prefixes.setdefault(stem, set()).update(refs)
-        else:
-            if not word:
-                raise _parse_error(source, line_no, "empty word entry")
-            exact.setdefault(word, set()).update(refs)
+        table, word = (prefixes, word[:-1]) if word.endswith("*") else (exact, word)
+        if not word:  # parts are never blank, so only a bare "*" is empty
+            raise _parse_error(source, line_no, "empty prefix entry")
+        table.setdefault(word, set()).update(refs)
 
     if section == "preamble":
         raise LexiconError(f"{source}: no category block found")
@@ -197,12 +221,25 @@ def write_lexicon(lexicon: Lexicon, path) -> None:
     out = ["%"]
     out.extend(f"{cid}\t{name}" for cid, name in lexicon.categories)
     out.append("%")
-    for word in sorted(lexicon.exact):
-        out.append(word + "\t" + "\t".join(str(c) for c in sorted(lexicon.exact[word])))
-    for stem in sorted(lexicon.prefixes):
-        out.append(stem + "*\t" + "\t".join(str(c) for c in sorted(lexicon.prefixes[stem])))
+    for entries, star in ((lexicon.exact, ""), (lexicon.prefixes, "*")):
+        out.extend(w + star + "\t" + "\t".join(map(str, sorted(entries[w]))) for w in sorted(entries))
     with atomic_write(path) as fh:
         fh.write("\n".join(out) + "\n")
+
+
+def _tokens(messages) -> list[str]:
+    """Every token of ``messages`` (Message objects or strings), each
+    message's followed by the sentinel, from one ``findall``."""
+    texts = [getattr(msg, "text", msg) for msg in messages]
+    joined = " A ".join([*map(str.lower, texts), ""]).replace("’", "'")
+    return (_ASCII_TOKEN_RE if joined.isascii() else _TOKEN_RE).findall(joined)
+
+
+def count_tokens(messages) -> int:
+    """The summed ``tokenize`` lengths of ``messages`` (Message objects or
+    strings), from one ``findall``."""
+    tokens = _tokens(messages)
+    return len(tokens) - tokens.count("A")
 
 
 def score_features(messages, lexicon: Lexicon) -> FeatureVector:
@@ -211,18 +248,13 @@ def score_features(messages, lexicon: Lexicon) -> FeatureVector:
     Accepts Message objects or plain strings. Raises EmptySampleError
     when the sample tokenizes to nothing.
     """
-    tally: Counter[str] = Counter()
-    total = 0
-    for msg in messages:
-        tokens = tokenize(getattr(msg, "text", msg))
-        total += len(tokens)
-        tally.update(tokens)
+    vocabulary = lexicon._vocabulary
+    ids = vocabulary.encode(messages)
+    total = int(np.count_nonzero(ids != 1))
     if total == 0:
         raise EmptySampleError("sample contains no tokens")
-    counts = {cid: 0 for cid in lexicon.category_ids}
-    for token, n in tally.items():
-        for cid in lexicon.lookup(token):
-            counts[cid] += n
+    hits = np.bincount(ids, minlength=len(vocabulary.incidence)) @ vocabulary.incidence
+    counts = dict(zip(lexicon.category_ids, hits.tolist()))
     frequencies = {cid: 100.0 * c / total for cid, c in counts.items()}
     return FeatureVector(counts=counts, total_tokens=total, frequencies=frequencies)
 
@@ -230,23 +262,14 @@ def score_features(messages, lexicon: Lexicon) -> FeatureVector:
 def count_matrix(messages, lexicon: Lexicon):
     """Per-message category counts for bulk scoring.
 
-    Returns ``(M, w)`` where ``M[i, j]`` counts hits of message ``i`` in
-    the lexicon's j-th declared category and ``w[i]`` is the message's
-    token count. Summing rows of a subset reproduces score_features on
-    that subset exactly (integer arithmetic).
+    Returns ``(M, w)`` where ``M[i, j]`` (int32) counts hits of message
+    ``i`` in the lexicon's j-th declared category and ``w[i]`` is the
+    message's token count. Summing rows of a subset reproduces
+    score_features on that subset exactly (integer arithmetic).
     """
-    col = {cid: j for j, cid in enumerate(lexicon.category_ids)}
-    n_cats = len(col)
-    rows = []
-    w = []
-    lookup = lexicon.lookup
-    for msg in messages:
-        tokens = tokenize(getattr(msg, "text", msg))
-        w.append(len(tokens))
-        row = [0] * n_cats
-        for token in tokens:
-            for cid in lookup(token):
-                row[col[cid]] += 1
-        rows.append(row)
-    M = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n_cats), dtype=np.int64)
-    return M, np.array(w, dtype=np.int64)
+    ids = lexicon._vocabulary.encode(messages)
+    ends = np.flatnonzero(ids == 1)
+    w = np.diff(ends, prepend=-1) - 1
+    # Each message's run ends with its sentinel, whose zero row keeps an
+    # empty message's run non-empty.
+    return np.add.reduceat(lexicon._vocabulary.incidence[ids], ends - w, axis=0, dtype=np.int32), w

@@ -399,6 +399,20 @@ def test_min_words_zero_never_tokenizes(tmp_path, monkeypatch):
     assert build_author_corpora(messages, 1, 13) == []
 
 
+def test_min_words_counts_without_tokenize(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    write_corpus([msg("a", 1), msg("a", 2)], path)
+    messages = read_corpus(path).messages
+
+    def no_tokenize(text):
+        raise AssertionError(f"tokenized {text!r}")
+
+    monkeypatch.setattr("lexstable.ingest.tokenize", no_tokenize)
+    monkeypatch.setattr("lexstable.lexicon.tokenize", no_tokenize)
+    assert build_author_corpora(messages, 1, 12) != []
+    assert build_author_corpora(messages, 1, 13) == []
+
+
 def test_no_output_tweet_starts_with_rt():
     records = [
         {"author_id": "a", "timestamp": "2014-03-01T12:00:00Z", "text": f"RT @u{i} spam"}

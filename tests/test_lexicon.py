@@ -8,6 +8,7 @@ from lexstable.errors import EmptySampleError, LexiconError
 from lexstable.lexicon import (
     Lexicon,
     count_matrix,
+    count_tokens,
     load_lexicon,
     parse_lexicon,
     score_features,
@@ -246,23 +247,35 @@ _EDGE_LEXICON = parse_lexicon([
 @given(texts=_TEXTS, lexicon=_lexicons())
 @example(texts=["I\u2019m here", "I'm"], lexicon=_EDGE_LEXICON)
 @example(texts=["\u212aey \u212a"], lexicon=_EDGE_LEXICON)
+@example(texts=["\u212a"], lexicon=_EDGE_LEXICON)
 @example(texts=["\u0130stanbul"], lexicon=_EDGE_LEXICON)
 @example(texts=["abc123def 42"], lexicon=_EDGE_LEXICON)
 @example(texts=["snake_case", "_"], lexicon=_EDGE_LEXICON)
 @example(texts=["\u039f\u0394\u039f\u03a3 \u03bf\u03b4\u03bf\u03c3"], lexicon=_EDGE_LEXICON)
+@example(texts=[], lexicon=_EDGE_LEXICON)
+@example(texts=["", "key i", "42", "", "7 8", "snake", "0"], lexicon=_EDGE_LEXICON)
+@example(texts=["12", "", "key"], lexicon=_EDGE_LEXICON)
+@example(texts=["A", " A ", "key A i", "a\x00key", "\x00", "A A"], lexicon=_EDGE_LEXICON)
+@example(texts=["\u03bf\u03b4\u03bf\u03c2 A", " A ", "\x00 \u00e9"], lexicon=_EDGE_LEXICON)
+@example(texts=["key i'm", "\u03bf\u03b4\u03bf\u03c2 key", "", "\u0130 stand", "snake"], lexicon=_EDGE_LEXICON)
 @settings(max_examples=200, deadline=None)
 def test_count_kernels_match_the_token_loop(texts, lexicon):
-    expected = dict.fromkeys(lexicon.category_ids, 0)
-    lengths = []
+    col = {cid: j for j, cid in enumerate(lexicon.category_ids)}
+    rows, lengths = [], []
     for text in texts:
         tokens = tokenize(text)
         lengths.append(len(tokens))
+        row = [0] * len(col)
         for token in tokens:
             for cid in lexicon.lookup(token):
-                expected[cid] += 1
+                row[col[cid]] += 1
+        rows.append(row)
     M, w = count_matrix(texts, lexicon)
-    assert dict(zip(lexicon.category_ids, M.sum(axis=0).tolist())) == expected
+    assert M.shape == (len(texts), len(lexicon.categories))
+    assert M.tolist() == rows
     assert w.tolist() == lengths
+    assert count_tokens(texts) == sum(lengths)
+    expected = {cid: sum(row[j] for row in rows) for cid, j in col.items()}
     if sum(lengths) == 0:
         with pytest.raises(EmptySampleError):
             score_features(texts, lexicon)
@@ -270,3 +283,42 @@ def test_count_kernels_match_the_token_loop(texts, lexicon):
     fv = score_features(texts, lexicon)
     assert fv.counts == expected
     assert fv.total_tokens == sum(lengths)
+
+
+def _results(texts, lexicon):
+    M, w = count_matrix(texts, lexicon)
+    try:
+        fv = score_features(texts, lexicon)
+    except EmptySampleError:
+        fv = None
+    return M.tolist(), w.tolist(), fv
+
+
+@given(corpora=st.lists(_TEXTS, min_size=2, max_size=4), lexicon=_lexicons())
+@example(corpora=[["key i'm stand"], ["\u0130stanbul abc"], [], ["", "i"]], lexicon=_EDGE_LEXICON)
+@settings(max_examples=100, deadline=None)
+def test_vocabulary_never_changes_a_result(tmp_path_factory, corpora, lexicon):
+    def fresh():
+        return Lexicon(lexicon.categories, lexicon.exact, lexicon.prefixes)
+
+    want = [_results(texts, fresh()) for texts in corpora]
+    shared = fresh()
+    assert [_results(texts, shared) for texts in corpora] == want
+    assert [_results(texts, shared) for texts in reversed(corpora)] == want[::-1]
+    path = tmp_path_factory.mktemp("lexicon") / "shared.dic"
+    write_lexicon(shared, path)
+    assert load_lexicon(path) == shared == lexicon
+
+
+def test_count_kernels_never_tokenize(monkeypatch, toy):
+    def no_tokenize(text):
+        raise AssertionError(f"tokenized {text!r}")
+
+    monkeypatch.setattr("lexstable.lexicon.tokenize", no_tokenize)
+    msgs = ["I am happy", "", "me 42", "caf\u00e9 happier"]
+    M, w = count_matrix(msgs, toy)
+    assert M.tolist() == [[1, 1], [0, 0], [1, 0], [0, 1]]
+    assert w.tolist() == [3, 0, 1, 2]
+    fv = score_features(msgs, toy)
+    assert fv.counts == {1: 2, 2: 2} and fv.total_tokens == 6
+    assert count_tokens(msgs) == 6
