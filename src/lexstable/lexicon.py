@@ -43,6 +43,7 @@ from .errors import EmptySampleError, LexiconError
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
 # The same tokens on lowered ASCII text, plus the counting sentinel A.
 _ASCII_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*|A")
+_SENTINEL_ROW = 1  # the sentinel's row in every vocabulary
 
 
 def tokenize(text: str) -> list[str]:
@@ -97,7 +98,7 @@ class _Vocabulary(dict):
     each other row is one distinct category pattern."""
 
     def __init__(self, lexicon: Lexicon):
-        super().__init__(A=1)
+        super().__init__(A=_SENTINEL_ROW)
         self.lexicon, self.rows = lexicon, {(): 0}
         self.incidence = np.zeros((2, len(lexicon.categories)), dtype=np.int32)
 
@@ -250,7 +251,7 @@ def score_features(messages, lexicon: Lexicon) -> FeatureVector:
     """
     vocabulary = lexicon._vocabulary
     ids = vocabulary.encode(messages)
-    total = int(np.count_nonzero(ids != 1))
+    total = int(np.count_nonzero(ids != _SENTINEL_ROW))
     if total == 0:
         raise EmptySampleError("sample contains no tokens")
     hits = np.bincount(ids, minlength=len(vocabulary.incidence)) @ vocabulary.incidence
@@ -268,7 +269,7 @@ def count_matrix(messages, lexicon: Lexicon):
     score_features on that subset exactly (integer arithmetic).
     """
     ids = lexicon._vocabulary.encode(messages)
-    ends = np.flatnonzero(ids == 1)
+    ends = np.flatnonzero(ids == _SENTINEL_ROW)
     w = np.diff(ends, prepend=-1) - 1
     # Each message's run ends with its sentinel, whose zero row keeps an
     # empty message's run non-empty.
