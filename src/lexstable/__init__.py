@@ -4,6 +4,7 @@ sample-size stability profiling for online text corpora."""
 __version__ = "0.1.0"
 
 from .errors import (
+    CorpusOrderError,
     DegenerateGroupsError,
     EmptySampleError,
     IneligibleAuthorError,
@@ -19,6 +20,7 @@ from .ingest import (
     ParseResult,
     build_author_corpora,
     clean_text,
+    iter_authors,
     parse_messages,
     read_corpus,
     write_corpus,
@@ -65,7 +67,7 @@ from .traits import TraitModel, TraitScores, TraitSpec, infer_traits, load_trait
 __all__ = [
     "__version__",
     "AuthorCorpus", "Message", "ParseResult",
-    "build_author_corpora", "clean_text", "parse_messages", "read_corpus", "write_corpus",
+    "build_author_corpora", "clean_text", "iter_authors", "parse_messages", "read_corpus", "write_corpus",
     "FeatureVector", "Lexicon", "load_lexicon", "score_features", "tokenize", "write_lexicon",
     "TraitModel", "TraitScores", "TraitSpec", "infer_traits", "load_trait_model",
     "MediaComparisonRow", "PopulationStats", "cohens_d", "compare_media",
@@ -75,6 +77,6 @@ __all__ = [
     "trait_variability",
     "SyntheticSpec", "author_rates", "companion_lexicon", "generate_author",
     "generate_population",
-    "LexstableError", "LexiconError", "ModelError", "EmptySampleError",
+    "LexstableError", "LexiconError", "ModelError", "CorpusOrderError", "EmptySampleError",
     "DegenerateGroupsError", "StatsError", "IneligibleAuthorError", "PlanError",
 ]

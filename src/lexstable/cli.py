@@ -21,7 +21,8 @@ from pathlib import Path
 from . import __version__
 from .atomic import atomic_write
 from .errors import EmptySampleError, LexstableError, PlanError
-from .ingest import build_author_corpora, parse_messages, read_corpus, write_corpus, FORMATS
+from .ingest import ParseResult, build_author_corpora, iter_authors, parse_messages, write_corpus, FORMATS
+from .ingest import read_corpus  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .lexicon import load_lexicon, score_features, write_lexicon
 from .report import (
     comparison_svg, curves_svg, fmt, write_comparison_csv, write_curves_csv, write_svg,
@@ -53,19 +54,24 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs, primary_out)
         fh.write("\n")
 
 
-def _load_corpora(path, min_messages: int, min_words: int):
-    result = read_corpus(path)
-    corpora = build_author_corpora(result.messages, min_messages, min_words)
-    if result.skipped:
-        print(f"note: skipped {result.skipped} malformed record(s) in {path}", file=sys.stderr)
-    return corpora
+def _iter_corpora(path, min_messages: int):
+    """The corpus's ``AuthorCorpus`` groups with at least ``min_messages``
+    messages, read one author at a time; the skipped-record note follows
+    the last author."""
+    tally = ParseResult()
+    for run in iter_authors(path, tally):
+        yield from build_author_corpora(run, min_messages)
+    if tally.skipped:
+        print(f"note: skipped {tally.skipped} malformed record(s) in {path}", file=sys.stderr)
 
 
-def _score_authors(corpora, lexicon, model):
-    """Score each author's corpus. Returns the value names (the model's
-    traits, or the lexicon's categories without a model), one
-    ``(corpus, feature vector, values)`` per author with tokens, and the
-    number of authors dropped for having none."""
+def _score_authors(corpora, lexicon, model, min_words: int):
+    """Score each author's corpus, keeping none of its messages. Returns
+    the value names (the model's traits, or the lexicon's categories
+    without a model), one ``(author_id, medium, messages, feature vector,
+    values)`` per author with at least ``min_words`` tokens (and at least
+    one), and the number of authors dropped for having no tokens when
+    ``min_words`` is 0."""
     names = list(model.trait_names) if model is not None else list(lexicon.category_names)
     scored = []
     dropped = 0
@@ -73,25 +79,28 @@ def _score_authors(corpora, lexicon, model):
         try:
             fv = score_features(corpus.messages, lexicon)
         except EmptySampleError:
-            dropped += 1
+            if min_words == 0:  # otherwise no tokens is below the threshold
+                dropped += 1
+            continue
+        if fv.total_tokens < min_words:
             continue
         if model is None:
             values = [fv.frequencies[cid] for cid, _ in lexicon.categories]
         else:
             scores = infer_traits(fv, model, lexicon).values
             values = [scores[name] for name in names]
-        scored.append((corpus, fv, values))
+        scored.append((corpus.author_id, corpus.medium, corpus.total_messages, fv, values))
     return names, scored, dropped
 
 
 def _columns(names, scored) -> dict[str, list[float]]:
-    return {name: [values[j] for _, _, values in scored] for j, name in enumerate(names)}
+    return {name: [row[-1][j] for row in scored] for j, name in enumerate(names)}
 
 
-def _value_table(corpora, lexicon, model):
+def _value_table(corpora, lexicon, model, min_words: int):
     """Per-author trait (or category frequency) columns; authors whose
     corpus has no tokens are dropped with a note."""
-    names, scored, dropped = _score_authors(corpora, lexicon, model)
+    names, scored, dropped = _score_authors(corpora, lexicon, model, min_words)
     if dropped:
         print(f"note: dropped {dropped} author(s) with empty corpora", file=sys.stderr)
     return _columns(names, scored)
@@ -115,16 +124,15 @@ def cmd_score(args) -> int:
     ``traits`` (a model's trait values): one row per author with tokens."""
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.command == "traits" else None
-    corpora = _load_corpora(args.corpus, args.min_messages, args.min_words)
-    names, scored, _ = _score_authors(corpora, lexicon, model)
+    corpora = _iter_corpora(args.corpus, args.min_messages)
+    names, scored, _ = _score_authors(corpora, lexicon, model, args.min_words)
     counts = model is None
     with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["author_id", "medium"] + ["messages", "tokens"] * counts + names)
         writer.writerows(
-            [corpus.author_id, corpus.medium] + [corpus.total_messages, fv.total_tokens] * counts
-            + [fmt(v) for v in values]
-            for corpus, fv, values in scored
+            [author_id, medium] + [messages, fv.total_tokens] * counts + [fmt(v) for v in values]
+            for author_id, medium, messages, fv, values in scored
         )
     if args.stats_out:
         save_stats_json(PopulationStats(_columns(names, scored)), args.stats_out)
@@ -136,8 +144,8 @@ def cmd_score(args) -> int:
 def cmd_compare(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
-    table_a = _value_table(_load_corpora(args.corpus_a, args.min_messages, args.min_words), lexicon, model)
-    table_b = _value_table(_load_corpora(args.corpus_b, args.min_messages, args.min_words), lexicon, model)
+    table_a = _value_table(_iter_corpora(args.corpus_a, args.min_messages), lexicon, model, args.min_words)
+    table_b = _value_table(_iter_corpora(args.corpus_b, args.min_messages), lexicon, model, args.min_words)
     rows = compare_media(table_a, table_b, baseline=args.baseline)
     write_comparison_csv(rows, args.out)
     if args.svg:
@@ -156,8 +164,7 @@ def cmd_stability(args) -> int:
     )
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
-    corpora = _load_corpora(args.corpus, 1, 0)
-    curves = run_stability_modes(corpora, plan, lexicon, model, modes=modes)
+    curves = run_stability_modes(_iter_corpora(args.corpus, 1), plan, lexicon, model, modes=modes)
     write_curves_csv(curves, args.out)
     if args.svg:
         write_svg(curves_svg(curves), args.svg)

@@ -14,6 +14,11 @@ class ModelError(LexstableError):
     lexicon in use does not declare."""
 
 
+class CorpusOrderError(LexstableError):
+    """A canonical corpus's lines are not grouped by ascending
+    author_id, so it cannot be read one author at a time."""
+
+
 class EmptySampleError(LexstableError):
     """A text sample contained zero tokens; callers must filter these
     out rather than propagate NaN frequencies."""

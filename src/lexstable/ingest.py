@@ -4,7 +4,9 @@ corpus format.
 Canonical corpus files are JSON lines, one object per message with keys
 ``author_id``, ``timestamp`` (ISO-8601 UTC, second precision, ``Z``
 suffix), ``medium`` and ``text``, sorted by (author_id, timestamp).
-Text is stored cleaned, so reading a corpus takes it verbatim.
+Text is stored cleaned, so reading a corpus takes it verbatim. Each
+author's lines are one contiguous run, so ``iter_authors`` can read the
+file one author at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
+from typing import Iterator
 
 from .atomic import atomic_write
+from .errors import CorpusOrderError
 from .lexicon import count_tokens, tokenize
 
 KNOWN_MEDIA = ("twitter", "email", "blog", "forum", "wiki")
@@ -88,11 +92,12 @@ class ParseResult:
     """Parsed messages plus drop accounting: ``skipped`` counts records
     that were malformed or missing author/timestamp/text; ``filtered``
     counts well-formed records dropped by rule (retweets, non-English
-    tweets)."""
+    tweets); ``lines`` counts the JSONL lines read."""
 
     messages: list[Message] = field(default_factory=list)
     skipped: int = 0
     filtered: int = 0
+    lines: int = 0
 
 
 def _to_utc(dt: datetime) -> datetime | None:
@@ -220,31 +225,31 @@ def _tweet_record(record: dict, medium: str):
     return Message(str(author), ts, medium, clean_text(text, medium))
 
 
-def _parse_jsonl(stream, medium: str, adapt) -> ParseResult:
-    """Parse JSON lines one at a time. A line that is not one JSON object
-    is skipped, as is any record ``adapt`` maps to None; ``adapt`` maps a
-    record to a message, None or ``_FILTERED``."""
-    result = ParseResult()
+def _parse_jsonl(stream, medium: str, adapt, tally: ParseResult) -> Iterator[Message]:
+    """Parse JSON lines one at a time, yielding each message as its line
+    is read. A line that is not one JSON object is skipped, as is any
+    record ``adapt`` maps to None; ``adapt`` maps a record to a message,
+    None or ``_FILTERED``. Drops and lines read are counted in ``tally``."""
     for raw_line in stream:
+        tally.lines += 1
         line = raw_line.decode("utf-8", errors="replace").strip()
         if not line:
             continue
         try:
             record, end = _decode(line)
         except (ValueError, RecursionError):  # also integers too long to convert, deep nesting
-            result.skipped += 1
+            tally.skipped += 1
             continue
         if end != len(line) or not isinstance(record, dict):
-            result.skipped += 1
+            tally.skipped += 1
             continue
         msg = adapt(record, medium)
         if msg is None:
-            result.skipped += 1
+            tally.skipped += 1
         elif msg is _FILTERED:
-            result.filtered += 1
+            tally.filtered += 1
         else:
-            result.messages.append(msg)
-    return result
+            yield msg
 
 
 def strip_quoted(body: str) -> str:
@@ -294,32 +299,28 @@ def _first_text_plain(msg) -> str:
     return ""
 
 
-def _parse_mbox(stream, medium: str) -> ParseResult:
-    result = ParseResult()
+def _parse_mbox(stream, medium: str, tally: ParseResult) -> Iterator[Message]:
     data = stream.read()
     for raw in _message_boundaries(data):
         try:
             msg = email.message_from_bytes(raw)
         except Exception:
-            result.skipped += 1
+            tally.skipped += 1
             continue
         # str(): a header with undecodable bytes comes back as a Header object
         sender = email.utils.parseaddr(str(msg.get("From", "")))[1]
         if not sender:
-            result.skipped += 1
+            tally.skipped += 1
             continue
         try:
             ts = _to_utc(email.utils.parsedate_to_datetime(str(msg.get("Date", ""))))
         except (TypeError, ValueError):
             ts = None
         if ts is None:
-            result.skipped += 1
+            tally.skipped += 1
             continue
         body = strip_quoted(_first_text_plain(msg))
-        result.messages.append(
-            Message(sender, ts, medium, clean_text(body, medium))
-        )
-    return result
+        yield Message(sender, ts, medium, clean_text(body, medium))
 
 
 _PARSERS = {
@@ -342,7 +343,9 @@ def parse_messages(stream, format: str, medium: str) -> ParseResult:
         parser = _PARSERS[format]
     except KeyError:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}") from None
-    return parser(stream, medium)
+    result = ParseResult()
+    result.messages = list(parser(stream, medium, tally=result))
+    return result
 
 
 def build_author_corpora(messages, min_messages: int = 1, min_words: int = 0) -> list[AuthorCorpus]:
@@ -382,7 +385,9 @@ _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 def write_corpus(messages, path) -> None:
     """Write messages as canonical corpus JSONL sorted by
-    (author_id, timestamp), stable on ties."""
+    (author_id, timestamp), stable on ties. The author_id order is what
+    ``iter_authors`` requires: each author's lines form one run, and the
+    runs ascend by author_id."""
     ordered = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
     with atomic_write(path) as fh:
         for m in ordered:
@@ -400,5 +405,35 @@ def read_corpus(path) -> ParseResult:
     """Read a canonical corpus JSONL file (generic-jsonl rules). Its text
     is already clean and is taken verbatim: cleaning it again would not
     be the identity (twitter "#@name" is written as "@name")."""
+    result = ParseResult()
     with open(path, "rb") as fh:
-        return _parse_jsonl(fh, "other", _canonical_record)
+        result.messages = list(_parse_jsonl(fh, "other", _canonical_record, result))
+    return result
+
+
+def iter_authors(path, tally: ParseResult) -> Iterator[list[Message]]:
+    """Read a canonical corpus one author at a time: yield each author's
+    messages, in file order, as one list, and keep none of them once the
+    next author starts.
+
+    The file's lines must come grouped by ascending author_id, as
+    ``write_corpus`` writes them; a line whose author_id sorts below the
+    previous author's raises CorpusOrderError naming the file and line.
+    Timestamps need no order within an author. Records are read, and
+    drops counted in ``tally``, exactly as ``read_corpus`` does.
+    """
+    run: list[Message] = []
+    with open(path, "rb") as fh:
+        for msg in _parse_jsonl(fh, "other", _canonical_record, tally):
+            if run and msg.author_id != run[0].author_id:
+                if msg.author_id < run[0].author_id:
+                    raise CorpusOrderError(
+                        f"{path}:{tally.lines}: author_id {msg.author_id!r} sorts below the "
+                        f"previous author {run[0].author_id!r}; corpus lines must be grouped "
+                        "by ascending author_id"
+                    )
+                yield run
+                run = []
+            run.append(msg)
+    if run:
+        yield run

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -268,7 +269,7 @@ def _subsample_frequencies(author: _AuthorData, picks: list[np.ndarray]) -> np.n
 
 
 def run_stability(
-    corpora: Sequence[AuthorCorpus],
+    corpora: Iterable[AuthorCorpus],
     plan: SubsamplePlan,
     lexicon: Lexicon,
     model: TraitModel | None = None,
@@ -285,8 +286,11 @@ def run_stability(
     Subsamples that tokenize to nothing are skipped, which
     n_observations reflects.
 
-    Authors are processed one at a time in sorted (author_id, medium)
-    order, so results do not depend on the order of ``corpora``.
+    ``corpora`` may be any iterable, such as a stream read one author
+    at a time: each author is prepared as it arrives and its messages
+    are not kept. The prepared authors are then ordered by
+    (author_id, medium), a stable sort, so results do not depend on the
+    order of ``corpora``.
     """
     modes = (plan.mode,) if modes is None else tuple(modes)
     if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
@@ -297,8 +301,6 @@ def run_stability(
     else:
         W, b = None, None
         names = list(lexicon.category_names)
-
-    ordered = sorted(corpora, key=lambda c: (c.author_id, c.medium))
 
     def prepare(corpus: AuthorCorpus) -> _AuthorData | None:
         msgs = corpus.messages
@@ -326,7 +328,8 @@ def run_stability(
             full_values=_author_values(freq, W, b),
         )
 
-    authors = [a for a in map(prepare, ordered) if a is not None]
+    keyed = [((c.author_id, c.medium), a) for c in corpora if (a := prepare(c)) is not None]
+    authors = [a for _, a in sorted(keyed, key=itemgetter(0))]
     if len(authors) < 2:
         raise StatsError(
             f"{len(authors)} eligible author(s); at least 2 are required to "
@@ -378,7 +381,7 @@ def run_stability(
 
 
 def run_stability_modes(
-    corpora: Sequence[AuthorCorpus],
+    corpora: Iterable[AuthorCorpus],
     plan: SubsamplePlan,
     lexicon: Lexicon,
     model: TraitModel | None = None,

@@ -1,12 +1,17 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
+from lexstable import lexicon as lexicon_module
 from lexstable.cli import main
+from lexstable.ingest import read_corpus
 
 from conftest import data_path, fixture_path
 
@@ -269,3 +274,109 @@ def test_missing_input_is_runtime_error(tmp_path):
     assert run("score", "--corpus", str(tmp_path / "nope.jsonl"),
                "--lexicon", str(data_path("toy.dic")),
                "--out", str(tmp_path / "o.csv")) == 1
+
+
+# --- canonical corpora are read one author at a time ---------------------
+
+_STREAMING_COMMANDS = {
+    "stability": lambda corpus, lexicon, out: [
+        "stability", "--corpus", corpus, "--lexicon", lexicon, "--base", "60", "--sizes", "5,10,30",
+        "--out", out, "--svg", out.with_suffix(".svg")],
+    "score": lambda corpus, lexicon, out: [
+        "score", "--corpus", corpus, "--lexicon", lexicon, "--out", out,
+        "--stats-out", out.with_suffix(".json")],
+    "compare": lambda corpus, lexicon, out: [
+        "compare", "--corpus-a", corpus, "--corpus-b", corpus, "--lexicon", lexicon, "--out", out,
+        "--svg", out.with_suffix(".svg")],
+}
+
+
+def _run_streaming(command, corpus, lexicon, out_dir):
+    out_dir.mkdir()
+    return run(*map(str, _STREAMING_COMMANDS[command](corpus, lexicon, out_dir / "out.csv")))
+
+
+@pytest.mark.parametrize("command", sorted(_STREAMING_COMMANDS))
+def test_corpus_out_of_author_order_is_a_runtime_error(tmp_path, synth_files, capsys, command):
+    corpus, lexicon = synth_files
+    lines = corpus.read_text().splitlines()
+    unsorted = tmp_path / "unsorted.jsonl"
+    # the first author's first line moved to the end, after a blank line
+    unsorted.write_text("\n".join(lines[1:] + ["", lines[0]]) + "\n")
+    out_dir = tmp_path / "out"
+    assert _run_streaming(command, unsorted, lexicon, out_dir) == 1
+    assert f"{unsorted}:{len(lines) + 1}: author_id 'author0000' sorts below" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
+
+
+@pytest.mark.parametrize("command", sorted(_STREAMING_COMMANDS))
+def test_timestamp_order_within_an_author_does_not_change_output(tmp_path, synth_files, command):
+    corpus, lexicon = synth_files
+    lines = corpus.read_text().splitlines()
+    rng = random.Random(7)
+    runs = [list(group) for _, group in itertools.groupby(lines, lambda l: json.loads(l)["author_id"])]
+    for group in runs:
+        rng.shuffle(group)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(line + "\n" for group in runs for line in group))
+    assert shuffled.read_bytes() != corpus.read_bytes()
+    outputs = []
+    for name, path in (("sorted", corpus), ("shuffled", shuffled)):
+        assert _run_streaming(command, path, lexicon, tmp_path / name) == 0
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()
+                        if f.name != "run_manifest.json"})
+    assert len(outputs[0]) >= 2 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["score", "traits", "compare"])
+def test_min_words_tokenizes_each_author_once(tmp_path, synth_files, monkeypatch, command):
+    corpus, lexicon = synth_files
+    model = tmp_path / "m.model"
+    model.write_text("model demo\ntrait t intercept=0\n\tcat01 1.0\n")
+    passes = []
+
+    def counted(messages, tokens=lexicon_module._tokens):  # one findall over an author's texts
+        passes.append(len(messages))
+        return tokens(messages)
+
+    monkeypatch.setattr(lexicon_module, "_tokens", counted)
+    corpus_flags = {"compare": ["--corpus-a", corpus, "--corpus-b", corpus]}.get(command, ["--corpus", corpus])
+    model_flags = ["--model", model] if command == "traits" else []
+    assert run(*map(str, [command, *corpus_flags, "--lexicon", lexicon, *model_flags,
+                          "--min-words", "1", "--out", tmp_path / "out.csv"])) == 0
+    authors = 8 * (2 if command == "compare" else 1)
+    assert passes == [60] * authors
+
+
+def _traced_stability_peak(corpus, lexicon, out):
+    tracemalloc.start()
+    try:
+        assert run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                   "--base", "300", "--sizes", "20,50", "--out", str(out)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stability_memory_does_not_grow_with_each_author_messages(tmp_path):
+    corpora = {}
+    for authors in (8, 32):
+        corpus, lexicon = tmp_path / f"c{authors}.jsonl", tmp_path / f"l{authors}.dic"
+        assert run("synth", "--authors", str(authors), "--messages", "300", "--seed", "5",
+                   "--categories", "4", "--vocab-per-category", "6",
+                   "--out", str(corpus), "--lexicon-out", str(lexicon)) == 0
+        corpora[authors] = corpus, lexicon
+    tracemalloc.start()
+    try:
+        messages = read_corpus(corpora[32][0]).messages
+        one_author = tracemalloc.get_traced_memory()[0] / 32
+    finally:
+        tracemalloc.stop()
+    del messages
+    _traced_stability_peak(*corpora[8], tmp_path / "warm.csv")  # first call: one-time allocations
+    peaks = {n: _traced_stability_peak(*corpora[n], tmp_path / f"o{n}.csv") for n in (8, 32)}
+    per_author = (peaks[32] - peaks[8]) / 24
+    # Holding every parsed message grows the peak by about 1.25 of one
+    # author's messages per author; streaming by about 0.25 (tracemalloc,
+    # 300 messages of 10-20 words per author).
+    assert per_author < 0.5 * one_author

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from lexstable.ingest import (
     KNOWN_MEDIA,
     Message,
+    ParseResult,
     build_author_corpora,
     clean_text,
+    iter_authors,
     parse_messages,
     parse_timestamp,
     read_corpus,
@@ -382,6 +385,57 @@ def test_read_corpus_inverts_write_corpus(tmp_path_factory, records):
     want = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
     assert [key(m) for m in result.messages] == [key(m) for m in want]
     assert result.skipped == 0
+
+
+# Lines iter_authors and read_corpus both skip: blank, not JSON, not an
+# object, or an object without a usable author, timestamp or text.
+_JUNK_LINES = st.sampled_from([
+    "", "   ", "{", "[1]", "null", "not json", '{"author_id": "0"}',
+    '{"author_id": "~", "timestamp": "never", "text": "x"}', '{"timestamp": "2014-03-01T12:00:00Z"}',
+])
+
+
+def _streamed_corpora(path, min_messages, min_words):
+    tally = ParseResult()
+    corpora = [c for run in iter_authors(path, tally)
+               for c in build_author_corpora(run, min_messages, min_words)]
+    return corpora, tally.skipped
+
+
+@given(
+    records=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "bb", "é"]),
+            st.integers(0, 3),  # few distinct minutes: timestamps tie
+            st.sampled_from(["twitter", "email", "blog"]),
+            st.sampled_from(["", "one", "two words", "a b c"]),
+        ),
+        max_size=20,
+    ),
+    junk=st.lists(st.tuples(st.integers(0, 10**6), _JUNK_LINES), max_size=6),
+    min_messages=st.integers(1, 3),
+    min_words=st.integers(0, 4),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk, min_messages, min_words, rng):
+    messages = [Message(author, ts(f"2014-03-01T12:{minute:02d}:00Z"), medium, f"{text} {i}".strip())
+                for i, (author, minute, medium, text) in enumerate(records)]
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    write_corpus(messages, path)
+    lines = []  # each author's lines still together, timestamps in any order
+    for _, group in itertools.groupby(path.read_text(encoding="utf-8").splitlines(),
+                                      lambda line: json.loads(line)["author_id"]):
+        group = list(group)
+        rng.shuffle(group)
+        lines += group
+    for position, line in junk:
+        lines.insert(position % (len(lines) + 1), line)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    result = read_corpus(path)
+    want = build_author_corpora(result.messages, min_messages, min_words)
+    assert _streamed_corpora(path, min_messages, min_words) == (want, result.skipped)
 
 
 def test_min_words_zero_never_tokenizes(tmp_path, monkeypatch):
