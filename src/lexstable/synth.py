@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import Iterator
 
 import numpy as np
 
@@ -119,6 +120,8 @@ def author_rates(spec: SyntheticSpec, author_id: str, rate_jitter: float) -> np.
 
 def _drift_log_rates(stream: Stream, n: int, k: int, rho: float, sigma: float) -> np.ndarray:
     eps = stream.gaussians(n * k).reshape(n, k) * sigma
+    if sigma == 0.0:  # each step is rho * 0.0 + (+-0.0) == 0.0; the draw keeps later draws in place
+        return np.zeros((n, k))
     eta = np.empty((n, k))
     prev = np.zeros(k)
     for t in range(n):
@@ -149,7 +152,7 @@ def generate_author(
     """Generate one author's corpus, fully determined by
     (spec.seed, author_id). Timestamps advance at fixed one-minute
     intervals from a constant epoch. ``rates`` overrides
-    spec.base_rates (used by generate_population)."""
+    spec.base_rates (used by iter_population)."""
     k = spec.n_categories
     v = spec.vocab_per_category
     n = spec.n_messages
@@ -173,21 +176,32 @@ def generate_author(
     cat_idx = _categorical_rows(stream.uniforms(total), cum[msg_of_token])
     word_idx = np.minimum((stream.uniforms(total) * v).astype(np.int64), v - 1)
 
-    flat_vocab = np.array(
-        [vocab_word(kk, j) for kk in range(1, k + 1) for j in range(v)], dtype=object
-    )
-    tokens = flat_vocab[cat_idx * v + word_idx]
-    splits = np.cumsum(lengths)[:-1]
-
-    messages = []
-    for t, part in enumerate(np.split(tokens, splits)):
-        messages.append(Message(
-            author_id=author_id,
-            timestamp=_EPOCH + timedelta(minutes=t),
-            medium=SYNTH_MEDIUM,
-            text=" ".join(part.tolist()),
-        ))
+    vocab = [vocab_word(kk, j) for kk in range(1, k + 1) for j in range(v)]
+    tokens = list(map(vocab.__getitem__, (cat_idx * v + word_idx).tolist()))
+    ends = np.cumsum(lengths).tolist()
+    messages = [
+        Message(author_id, _EPOCH + timedelta(minutes=t), SYNTH_MEDIUM, " ".join(tokens[start:end]))
+        for t, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+    ]
     return AuthorCorpus(author_id=author_id, medium=SYNTH_MEDIUM, messages=messages)
+
+
+def iter_population(
+    spec: SyntheticSpec,
+    n_authors: int,
+    rate_jitter: float = 0.0,
+) -> Iterator[AuthorCorpus]:
+    """The corpora of ``n_authors`` authors with jittered per-author
+    rates, generated one at a time in ascending author_id order, the
+    order of a canonical corpus file (author10000 comes before
+    author1001). Author ids are author0000, author0001, ..."""
+    if n_authors < 2:
+        raise PlanError("n_authors must be >= 2")
+    author_ids = sorted(f"author{i:04d}" for i in range(n_authors))
+    return (
+        generate_author(spec, author_id, rates=author_rates(spec, author_id, rate_jitter))
+        for author_id in author_ids
+    )
 
 
 def generate_population(
@@ -195,13 +209,6 @@ def generate_population(
     n_authors: int,
     rate_jitter: float = 0.0,
 ) -> tuple[list[AuthorCorpus], Lexicon]:
-    """Generate ``n_authors`` corpora with jittered per-author rates and
-    the companion lexicon. Author ids are author0000, author0001, ..."""
-    if n_authors < 2:
-        raise PlanError("n_authors must be >= 2")
-    corpora = []
-    for i in range(n_authors):
-        author_id = f"author{i:04d}"
-        rates = author_rates(spec, author_id, rate_jitter)
-        corpora.append(generate_author(spec, author_id, rates=rates))
-    return corpora, companion_lexicon(spec)
+    """Every corpus of ``iter_population``, in its order, and the
+    companion lexicon."""
+    return list(iter_population(spec, n_authors, rate_jitter)), companion_lexicon(spec)

@@ -57,3 +57,15 @@ def test_writer_failing_midway_keeps_the_earlier_corpus(tmp_path):
         write_corpus(good + [unencodable], path)
     assert path.read_bytes() == EARLIER.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_text_unencodable_as_utf8_midway_keeps_the_earlier_corpus(tmp_path):
+    # a lone surrogate is valid JSON text with ensure_ascii=False, but the
+    # UTF-8 file cannot hold it
+    path = _earlier_file(tmp_path)
+    ts = datetime(2014, 3, 1, tzinfo=timezone.utc)
+    good = [Message(f"a{i:05d}", ts, "blog", "word " * 20) for i in range(5000)]
+    with pytest.raises(UnicodeEncodeError):
+        write_corpus(good + [Message("b", ts, "blog", "lone \ud800 surrogate")], path)
+    assert path.read_bytes() == EARLIER.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

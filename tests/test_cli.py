@@ -10,8 +10,12 @@ import tracemalloc
 import pytest
 
 from lexstable import lexicon as lexicon_module
+from lexstable import synth as synth_module
 from lexstable.cli import main
-from lexstable.ingest import read_corpus
+from lexstable.errors import PlanError
+from lexstable.ingest import read_corpus, write_corpus
+from lexstable.lexicon import write_lexicon
+from lexstable.synth import SyntheticSpec, generate_population
 
 from conftest import data_path, fixture_path
 
@@ -70,6 +74,78 @@ def test_synth_rejects_non_finite_rates(tmp_path, capsys, flag, value):
     assert code == 2
     assert "not a finite number" in capsys.readouterr().err
     assert not corpus.exists()
+
+
+@pytest.mark.parametrize("authors, spec, jitter", [
+    (6, SyntheticSpec(4, 6, 40, seed=3, msg_length=(1, 9)), 0.1),
+    (6, SyntheticSpec(4, 6, 40, seed=3, msg_length=(1, 9), drift_rho=0.9, drift_sigma=0.4), 0.1),
+    # author10000 is written before author1001
+    (10_001, SyntheticSpec(1, 1, 1, seed=0), 0.0),
+], ids=["drift-off", "drift-on", "past-ten-thousand-authors"])
+def test_synth_writes_what_write_corpus_writes_of_the_population(tmp_path, authors, spec, jitter):
+    lo, hi = spec.msg_length
+    assert run("synth", "--authors", str(authors), "--messages", str(spec.n_messages),
+               "--seed", str(spec.seed), "--categories", str(spec.n_categories),
+               "--vocab-per-category", str(spec.vocab_per_category), "--jitter", str(jitter),
+               "--drift-rho", str(spec.drift_rho), "--drift-sigma", str(spec.drift_sigma),
+               "--msg-len-min", str(lo), "--msg-len-max", str(hi),
+               "--out", str(tmp_path / "c.jsonl"), "--lexicon-out", str(tmp_path / "l.dic")) == 0
+    corpora, lexicon = generate_population(spec, authors, jitter)
+    write_corpus([m for corpus in corpora for m in corpus.messages], tmp_path / "want.jsonl")
+    write_lexicon(lexicon, tmp_path / "want.dic")
+    assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert (tmp_path / "l.dic").read_bytes() == (tmp_path / "want.dic").read_bytes()
+
+
+def test_synth_failing_midway_writes_nothing(tmp_path, monkeypatch, capsys):
+    generate_author = synth_module.generate_author
+    calls = []
+
+    def fail_on_second_author(spec, author_id, rates):
+        calls.append(author_id)
+        if len(calls) == 2:
+            raise PlanError(f"no corpus for {author_id}")
+        return generate_author(spec, author_id, rates=rates)
+
+    monkeypatch.setattr(synth_module, "generate_author", fail_on_second_author)
+    assert run("synth", "--authors", "4", "--messages", "30",
+               "--out", str(tmp_path / "c.jsonl"), "--lexicon-out", str(tmp_path / "l.dic")) == 2
+    assert "no corpus for author0001" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _traced_peak(*argv):
+    """tracemalloc's peak over one in-process command."""
+    tracemalloc.start()
+    try:
+        assert run(*map(str, argv)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _traced_synth_peak(authors, out):
+    return _traced_peak("synth", "--authors", authors, "--messages", 300, "--seed", 5,
+                        "--categories", 4, "--vocab-per-category", 6,
+                        "--out", out / "c.jsonl", "--lexicon-out", out / "l.dic")
+
+
+def test_synth_memory_does_not_grow_with_each_author_messages(tmp_path):
+    spec = SyntheticSpec(4, 6, 300, seed=5)
+    tracemalloc.start()
+    try:
+        corpora, _ = generate_population(spec, 32, 0.1)
+        one_author = tracemalloc.get_traced_memory()[0] / 32
+    finally:
+        tracemalloc.stop()
+    del corpora
+    _traced_synth_peak(8, tmp_path)  # first call: one-time allocations
+    peaks = {n: _traced_synth_peak(n, tmp_path) for n in (8, 32)}
+    per_author = (peaks[32] - peaks[8]) / 24
+    # Holding the population grows the peak by about 1.2 of one author's
+    # messages per author; streaming by about 0.01 (tracemalloc, 300
+    # messages of 10-20 words per author).
+    assert per_author < 0.25 * one_author, (per_author, one_author)
 
 
 def test_stability_row_count_and_manifest(tmp_path, synth_files):
@@ -349,13 +425,8 @@ def test_min_words_tokenizes_each_author_once(tmp_path, synth_files, monkeypatch
 
 
 def _traced_stability_peak(corpus, lexicon, out):
-    tracemalloc.start()
-    try:
-        assert run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon),
-                   "--base", "300", "--sizes", "20,50", "--out", str(out)) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _traced_peak("stability", "--corpus", corpus, "--lexicon", lexicon,
+                        "--base", 300, "--sizes", "20,50", "--out", out)
 
 
 def test_stability_memory_does_not_grow_with_each_author_messages(tmp_path):

@@ -13,6 +13,7 @@ from lexstable.ingest import (
     Message,
     ParseResult,
     build_author_corpora,
+    canonical_line,
     clean_text,
     iter_authors,
     parse_messages,
@@ -385,6 +386,37 @@ def test_read_corpus_inverts_write_corpus(tmp_path_factory, records):
     want = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
     assert [key(m) for m in result.messages] == [key(m) for m in want]
     assert result.skipped == 0
+
+
+# Any string a field can hold: JSON's escapes, controls, the line and
+# paragraph separators, non-BMP characters and lone surrogates.
+_FIELD_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\U0001f600\ud800')
+                      | st.characters(blacklist_categories=()), max_size=12)
+_AWARE_STAMPS = st.builds(
+    datetime.replace,
+    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30)),  # any offset stays in range
+    tzinfo=st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
+                                             max_value=timedelta(hours=23, minutes=59))),
+)
+
+
+@given(author=_FIELD_TEXT, stamp=_AWARE_STAMPS, medium=_FIELD_TEXT, text=_FIELD_TEXT, after=st.booleans())
+@example(author="a", stamp=datetime(999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(hours=1))),
+         medium="m", text="\u2028\"\\\x00\U0001f600\ud800", after=True)
+@settings(max_examples=300, deadline=None)
+def test_canonical_line_is_the_json_dump_of_its_record(author, stamp, medium, text, after):
+    # ``after``: the aware stamp is set once the message exists, so it is
+    # not converted to UTC at construction
+    m = Message(author, datetime(2014, 3, 1, tzinfo=timezone.utc) if after else stamp, medium, text)
+    if after:
+        m.timestamp = stamp
+    record = {
+        "author_id": author,
+        "timestamp": stamp.astimezone(timezone.utc).replace(tzinfo=None).isoformat(timespec="seconds") + "Z",
+        "medium": medium,
+        "text": text,
+    }
+    assert canonical_line(m) == json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 # Lines iter_authors and read_corpus both skip: blank, not JSON, not an

@@ -3,6 +3,8 @@ import pytest
 
 from lexstable.errors import PlanError
 from lexstable.lexicon import score_features, tokenize, write_lexicon, load_lexicon
+from lexstable import synth
+from lexstable.rng import Stream
 from lexstable.stats import PopulationStats
 from lexstable.synth import (
     SyntheticSpec,
@@ -10,6 +12,7 @@ from lexstable.synth import (
     companion_lexicon,
     generate_author,
     generate_population,
+    iter_population,
     vocab_word,
 )
 
@@ -152,6 +155,30 @@ def test_drift_makes_adjacent_messages_correlate():
     assert lag1 > lag20
 
 
+def _drift_recurrence(stream, n, k, rho, sigma):
+    """The AR(1) recurrence run at every sigma, zero included."""
+    eps = stream.gaussians(n * k).reshape(n, k) * sigma
+    eta = np.empty((n, k))
+    prev = np.zeros(k)
+    for t in range(n):
+        prev = rho * prev + eps[t]
+        eta[t] = prev
+    return eta
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.9])
+def test_zero_drift_sigma_skips_the_recurrence_and_keeps_every_draw(monkeypatch, rho):
+    spec = small_spec(n_messages=300, drift_rho=rho, drift_sigma=0.0, msg_length=(1, 30))
+    skipped = (Stream(7), Stream(7))
+    eta = synth._drift_log_rates(skipped[0], 300, 3, rho, 0.0)
+    assert eta.tobytes() == _drift_recurrence(skipped[1], 300, 3, rho, 0.0).tobytes()  # signed zeros too
+    assert np.array_equal(skipped[0].raw(8), skipped[1].raw(8))  # the streams stand at one position
+
+    fast = generate_author(spec, "alice")
+    monkeypatch.setattr(synth, "_drift_log_rates", _drift_recurrence)
+    assert corpus_fingerprint(fast) == corpus_fingerprint(generate_author(spec, "alice"))
+
+
 # --- generate_population -------------------------------------------------
 
 def test_population_requires_two_authors():
@@ -183,3 +210,10 @@ def test_jitter_produces_distinct_author_rates():
     assert len(set(rows)) == 50
     for row in rows:
         assert pytest.approx(1.0, abs=1e-12) == sum(row)
+
+
+def test_population_comes_in_author_id_order_past_ten_thousand(monkeypatch):
+    monkeypatch.setattr(synth, "generate_author", lambda spec, author_id, rates: author_id)
+    ids = list(iter_population(small_spec(), 10_001))
+    assert ids == sorted(f"author{i:04d}" for i in range(10_001))
+    assert ids[1001:1003] == ["author10000", "author1001"]
