@@ -159,11 +159,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     modes = MODES if args.mode == "both" else (args.mode,)
     plan = SubsamplePlan(
         unit=args.unit, mode=modes[0], base_size=args.base,
-        sizes=sizes, master_seed=args.seed, anchor=args.anchor,
+        sizes=args.sizes, master_seed=args.seed, anchor=args.anchor,
     )
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
@@ -223,6 +222,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {text!r}")
+        return value
+    return parse
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """An argparse ``type`` for comma-separated integers; ``SubsamplePlan``
+    checks their order and range."""
+    try:
+        return tuple(int(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexstable",
@@ -244,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out", default=None, help="also write population stats JSON")
-    p.add_argument("--min-messages", type=int, default=1)
-    p.add_argument("--min-words", type=int, default=0)
+    p.add_argument("--min-messages", type=_int_at_least(1), default=1)
+    p.add_argument("--min-words", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("traits", help="per-author trait scores from a linear model")
@@ -254,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out", default=None)
-    p.add_argument("--min-messages", type=int, default=1)
-    p.add_argument("--min-words", type=int, default=0)
+    p.add_argument("--min-messages", type=_int_at_least(1), default=1)
+    p.add_argument("--min-words", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="cross-media comparison table (effect sizes, CIs, flags)")
@@ -267,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="side whose mean normalizes ratios (default: b)")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
-    p.add_argument("--min-messages", type=int, default=1)
-    p.add_argument("--min-words", type=int, default=0)
+    p.add_argument("--min-messages", type=_int_at_least(1), default=1)
+    p.add_argument("--min-words", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("stability", help="variability curves across subsample sizes")
@@ -278,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", choices=("messages", "words"), default="messages")
     p.add_argument("--mode", choices=("random", "contiguous", "both"), default="both")
     p.add_argument("--base", type=int, required=True, help="full-sample size per author")
-    p.add_argument("--sizes", required=True, help="comma-separated subsample sizes")
+    p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated subsample sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--anchor", choices=("latest", "earliest"), default="latest")
     p.add_argument("--out", required=True)

@@ -16,13 +16,17 @@ closes it. A trailing ``*`` marks a prefix entry; all other entries
 match whole tokens. An entry may list several category ids. Lines whose
 first non-blank character is ``#`` and blank lines are ignored.
 
-Counting: ``count_matrix`` and ``score_features`` run one ``findall``
-over the sample's lowered messages joined by the sentinel ``" A "``
-(``str.lower`` never yields an ASCII ``A``), with an ASCII pattern when
-the lowered text is ASCII (U+212A lowers to ``k``, U+0130 to two code
-points). Tokens index an incidence matrix with one row per distinct
-category pattern, so every dictionary miss shares one zero row; a token
-goes through ``Lexicon.lookup`` once, when first seen.
+Counting: ``count_matrix`` and ``score_features`` tokenize the sample's
+lowered messages joined by the sentinel ``" A "`` (``str.lower`` never
+yields an ASCII ``A``) in one pass. When the lowered text is ASCII
+(U+212A lowers to ``k``, U+0130 to two code points), one
+``str.translate`` turns every character but ``a``-``z``, ``'`` and the
+sentinel into a space, an apostrophe not between two letters becomes a
+space, and ``str.split`` gives the tokens; other text goes through one
+``findall`` of the token pattern. Tokens index an incidence matrix with
+one row per distinct category pattern, so every dictionary miss shares
+one zero row; a token goes through ``Lexicon.lookup`` once, when first
+seen.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ from .errors import EmptySampleError, LexiconError
 # ("i'm" is one token). Digits, underscore and punctuation separate
 # tokens. U+2019 is folded to the ASCII apostrophe before matching.
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:'[^\W\d_]+)*")
-# The same tokens on lowered ASCII text, plus the counting sentinel A.
-_ASCII_TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*|A")
+# On lowered ASCII text every character but a-z, the apostrophe and the
+# counting sentinel A separates tokens.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128))
+                                   if not ("a" <= c <= "z" or c in "'A")})
 _SENTINEL_ROW = 1  # the sentinel's row in every vocabulary
 
 
@@ -230,15 +236,27 @@ def write_lexicon(lexicon: Lexicon, path) -> None:
 
 def _tokens(messages) -> list[str]:
     """Every token of ``messages`` (Message objects or strings), each
-    message's followed by the sentinel, from one ``findall``."""
+    message's followed by the sentinel, from one pass over their joined
+    text: ``_TOKEN_RE.findall`` unless it is ASCII, else a translate and
+    a split (the sentinel has a space on each side, so it never touches
+    a letter or an apostrophe)."""
     texts = [getattr(msg, "text", msg) for msg in messages]
     joined = " A ".join([*map(str.lower, texts), ""]).replace("’", "'")
-    return (_ASCII_TOKEN_RE if joined.isascii() else _TOKEN_RE).findall(joined)
+    if not joined.isascii():
+        return _TOKEN_RE.findall(joined)
+    joined = joined.translate(_ASCII_SEPARATORS)
+    if "'" in joined:  # keep an apostrophe only between two letters
+        pieces = joined.split("'")
+        joined = pieces[0] + "".join(
+            ("'" if left[-1:].isalpha() and right[:1].isalpha() else " ") + right
+            for left, right in zip(pieces, pieces[1:])
+        )
+    return joined.split()
 
 
 def count_tokens(messages) -> int:
     """The summed ``tokenize`` lengths of ``messages`` (Message objects or
-    strings), from one ``findall``."""
+    strings), from one ``_tokens`` pass."""
     tokens = _tokens(messages)
     return len(tokens) - tokens.count("A")
 

@@ -311,6 +311,46 @@ def test_usage_errors_and_help(capsys):
     assert run("not-a-command") == 2
 
 
+@pytest.mark.parametrize("sizes", ["20,abc", "20,,50", "", "20;50", "1.5"])
+def test_malformed_sizes_are_a_usage_error(tmp_path, synth_files, capsys, sizes):
+    corpus, lexicon = synth_files
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon), "--base", "60",
+               "--sizes", sizes, "--out", str(out_dir / "curves.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lexstable stability") and "argument --sizes:" in err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("sizes, message", [("50,20", "strictly ascending"), ("0,5", "positive"),
+                                            ("5,60", "exceeds base/2")])
+def test_sizes_out_of_order_or_range_are_a_plan_error(tmp_path, synth_files, capsys, sizes, message):
+    corpus, lexicon = synth_files
+    assert run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon), "--base", "60",
+               "--sizes", sizes, "--out", str(tmp_path / "curves.csv")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "traits", "compare"])
+@pytest.mark.parametrize("flag, value", [("--min-messages", "0"), ("--min-messages", "-2"),
+                                         ("--min-messages", "x"), ("--min-words", "-1"),
+                                         ("--min-words", "1.5")])
+def test_min_thresholds_are_checked_when_parsing(tmp_path, capsys, command, flag, value):
+    empty = tmp_path / "empty.jsonl"  # no author is read, so only parsing can reject the flag
+    empty.write_text("")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    corpus_flags = ["--corpus-a", empty, "--corpus-b", empty] if command == "compare" else ["--corpus", empty]
+    model_flags = ["--model", data_path("toy_big5.model")] if command == "traits" else []
+    assert run(*map(str, [command, *corpus_flags, "--lexicon", data_path("demo.dic"), *model_flags,
+                          flag, value, "--out", out_dir / "out.csv"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: lexstable {command}") and f"argument {flag}:" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_stability_with_model(tmp_path, synth_files):
     corpus, lexicon = synth_files
     model = tmp_path / "m.model"
@@ -411,7 +451,7 @@ def test_min_words_tokenizes_each_author_once(tmp_path, synth_files, monkeypatch
     model.write_text("model demo\ntrait t intercept=0\n\tcat01 1.0\n")
     passes = []
 
-    def counted(messages, tokens=lexicon_module._tokens):  # one findall over an author's texts
+    def counted(messages, tokens=lexicon_module._tokens):  # one tokenizing pass over an author's texts
         passes.append(len(messages))
         return tokens(messages)
 

@@ -1,9 +1,11 @@
 import random
+import string
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lexstable import lexicon as lexicon_module
 from lexstable.errors import EmptySampleError, LexiconError
 from lexstable.lexicon import (
     Lexicon,
@@ -227,10 +229,9 @@ _TEXTS = st.lists(st.lists(_PIECE, max_size=8).map("".join), max_size=5)
 
 
 @st.composite
-def _lexicons(draw):
+def _lexicons(draw, words=_WORD.map(str.lower)):
     ids = list(range(1, draw(st.integers(1, 4)) + 1))
     refs = st.frozensets(st.sampled_from(ids), min_size=1)
-    words = _WORD.map(str.lower)
     return Lexicon(
         categories=tuple((cid, f"c{cid}") for cid in ids),
         exact=draw(st.dictionaries(words, refs, max_size=6)),
@@ -260,6 +261,43 @@ _EDGE_LEXICON = parse_lexicon([
 @example(texts=["key i'm", "\u03bf\u03b4\u03bf\u03c2 key", "", "\u0130 stand", "snake"], lexicon=_EDGE_LEXICON)
 @settings(max_examples=200, deadline=None)
 def test_count_kernels_match_the_token_loop(texts, lexicon):
+    _check_against_the_token_loop(texts, lexicon)
+
+
+# ASCII-only text, which the kernels split rather than match: runs of
+# apostrophes at the start, middle and end of words, capitals (the
+# sentinel A among them), digits, "_", every punctuation mark and the
+# control characters that str.split() takes for whitespace.
+_ASCII_WORD = st.text(st.sampled_from("abxyz'"), min_size=1, max_size=5)
+_ASCII_PIECE = (_ASCII_WORD | _ASCII_WORD.map(str.upper) | st.text(st.just("'"), min_size=1, max_size=3)
+                | st.sampled_from(string.digits + "_" + string.punctuation + " \t\n\r\x00\x0b\x0c\x1c\x1d\x1e\x1f\x7fA")
+                | st.characters(max_codepoint=127))
+_ASCII_TEXTS = st.lists(st.lists(_ASCII_PIECE, max_size=10).map("".join), max_size=5)
+_ASCII_EDGE_LEXICON = parse_lexicon([
+    "%", "1\ta", "2\tb", "%",
+    "tis\t1", "a\t2", "b\t1", "x\t1\t2", "o'neill's\t2", "don't\t1", "sto*\t2", "a'b\t1",
+])
+
+
+@given(texts=_ASCII_TEXTS, lexicon=_lexicons(_ASCII_WORD))
+@example(texts=["'tis"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["a''b"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["a'"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["''"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["o'neill's"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["don't-stop"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["x' A"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["'A'"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["'tis", "a''b", "a'", "''", "o'neill's", "don't-stop", "x' A", "'A'"], lexicon=_ASCII_EDGE_LEXICON)
+@example(texts=["a1b\x7fx_y\x0bz\x1ctis"], lexicon=_ASCII_EDGE_LEXICON)
+@settings(max_examples=300, deadline=None)
+def test_ascii_split_path_matches_tokenize(texts, lexicon):
+    assert "".join(texts).isascii()
+    assert lexicon_module._tokens(texts) == [t for text in texts for t in [*tokenize(text), "A"]]
+    _check_against_the_token_loop(texts, lexicon)
+
+
+def _check_against_the_token_loop(texts, lexicon):
     col = {cid: j for j, cid in enumerate(lexicon.category_ids)}
     rows, lengths = [], []
     for text in texts:
