@@ -183,6 +183,16 @@ def _is_retweet(record: dict, text: str) -> bool:
 # Returned by a record adapter for a well-formed record dropped by rule.
 _FILTERED = object()
 
+# A lone surrogate cannot be encoded as UTF-8, so a message holding one
+# could not be written. Lines are decoded with errors="replace", so only
+# a JSON "\u" escape can produce one.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _has_surrogate(msg: Message) -> bool:
+    return any(map(_SURROGATE_RE.search, (msg.author_id, msg.medium, msg.text)))
+
+
 # One decoder for every JSONL line. On a stripped line, raw_decode plus
 # "the value ends the line" accepts and rejects exactly what json.loads
 # does, without json.loads's two extra calls per record.
@@ -229,8 +239,10 @@ def _tweet_record(record: dict, medium: str):
 def _parse_jsonl(stream, medium: str, adapt, tally: ParseResult) -> Iterator[Message]:
     """Parse JSON lines one at a time, yielding each message as its line
     is read. A line that is not one JSON object is skipped, as is any
-    record ``adapt`` maps to None; ``adapt`` maps a record to a message,
-    None or ``_FILTERED``. Drops and lines read are counted in ``tally``."""
+    record ``adapt`` maps to None and any message whose author_id,
+    medium or text holds a lone surrogate; ``adapt`` maps a record to a
+    message, None or ``_FILTERED``. Drops and lines read are counted in
+    ``tally``."""
     for raw_line in stream:
         tally.lines += 1
         line = raw_line.decode("utf-8", errors="replace").strip()
@@ -245,10 +257,10 @@ def _parse_jsonl(stream, medium: str, adapt, tally: ParseResult) -> Iterator[Mes
             tally.skipped += 1
             continue
         msg = adapt(record, medium)
-        if msg is None:
-            tally.skipped += 1
-        elif msg is _FILTERED:
+        if msg is _FILTERED:
             tally.filtered += 1
+        elif msg is None or ("\\u" in line and _has_surrogate(msg)):
+            tally.skipped += 1
         else:
             yield msg
 

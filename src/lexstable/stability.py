@@ -17,6 +17,11 @@ gives the per-message category and word counts, from which the full
 sample, its values and its rank on the ladder follow. That one prepared
 store serves every mode; subsample scores are sums of its rows.
 
+Curves are then built one size at a time. Every author's subsamples at
+that size are scored in (author_id, medium) order, each (mode, trait)
+column is ranked against the ladder with one call, and the size's
+points are aggregated at once: no observation array outlives its size.
+
 Subsample seeds are derived as
 derive_seed(derive_seed(master_seed, author_id), size, index), so runs
 are bit-reproducible and do not depend on the order of the input
@@ -291,6 +296,10 @@ def run_stability(
     are not kept. The prepared authors are then ordered by
     (author_id, medium), a stable sort, so results do not depend on the
     order of ``corpora``.
+
+    Curves are filled one size at a time: ranking takes one
+    ``percentile_ranks`` call per trait for the full samples plus one
+    per (size, mode, trait), each across all authors.
     """
     modes = (plan.mode,) if modes is None else tuple(modes)
     if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
@@ -303,14 +312,13 @@ def run_stability(
         names = list(lexicon.category_names)
 
     def prepare(corpus: AuthorCorpus) -> _AuthorData | None:
-        msgs = corpus.messages
         try:
             if plan.unit == "messages":  # slice first: later messages are never tokenized
-                msgs = msgs[_full_range(_unit_weights(msgs, plan.unit), plan, corpus.author_id)]
+                msgs = full_sample(corpus, plan)
                 M, w = count_matrix(msgs, lexicon)
                 weights = _unit_weights(msgs, plan.unit)
             else:
-                M, w = count_matrix(msgs, lexicon)
+                M, w = count_matrix(corpus.messages, lexicon)
                 full = _full_range(w, plan, corpus.author_id)
                 M, w = M[full], w[full].copy()
                 weights = w
@@ -338,37 +346,25 @@ def run_stability(
 
     full = np.array([a.full_values for a in authors])
     ladder = PopulationStats({name: full[:, j] for j, name in enumerate(names)})
-    full_ranks = np.column_stack([
-        ladder.percentile_ranks(name, full[:, j]) for j, name in enumerate(names)
-    ])
+    full_ranks = [ladder.percentile_ranks(name, full[:, j]) for j, name in enumerate(names)]
 
-    def profile(author: _AuthorData, full_rank: np.ndarray) -> dict[tuple[str, int], np.ndarray]:
-        out: dict[tuple[str, int], np.ndarray] = {}
-        for size in plan.sizes:
+    curves = {(name, mode): StabilityCurve(name, mode, plan.unit, []) for name in names for mode in modes}
+    for size in plan.sizes:
+        values: dict[str, list[np.ndarray]] = {mode: [] for mode in modes}
+        for author in authors:
             picked = _subsample_picks(author.weights, plan.base_size, size, author.seed, modes)
             for mode, picks in picked.items():
-                values = _author_values(_subsample_frequencies(author, picks), W, b)
-                ranks = np.column_stack([
-                    ladder.percentile_ranks(name, values[:, j])
-                    for j, name in enumerate(names)
-                ])
-                out[mode, size] = np.abs(ranks - full_rank[None, :])
-        return out
-
-    per_author = [profile(a, r) for a, r in zip(authors, full_ranks)]
-
-    curves = []
-    for name in sorted(names):
-        col = names.index(name)
+                values[mode].append(_author_values(_subsample_frequencies(author, picks), W, b))
         for mode in sorted(modes):
-            points = []
-            for size in plan.sizes:
-                obs = np.concatenate([res[mode, size][:, col] for res in per_author])
-                if obs.size == 0:
-                    raise StatsError(f"no usable observations at size {size}")
+            owner = np.repeat(np.arange(len(authors)), [v.shape[0] for v in values[mode]])
+            if owner.size == 0:
+                raise StatsError(f"no usable observations at size {size}")
+            sub = np.concatenate(values.pop(mode))
+            for j, name in enumerate(names):
+                obs = np.abs(ladder.percentile_ranks(name, sub[:, j]) - full_ranks[j][owner])
                 mean = float(obs.mean())
                 sd = float(obs.std(ddof=1)) if obs.size > 1 else 0.0
-                points.append(VariabilityPoint(
+                curves[name, mode].points.append(VariabilityPoint(
                     size=size,
                     n_observations=int(obs.size),
                     mean_variability=mean,
@@ -376,8 +372,7 @@ def run_stability(
                     p95_empirical=float(np.percentile(obs, 95.0)),
                     p95_parametric=mean + 1.645 * sd,
                 ))
-            curves.append(StabilityCurve(trait_name=name, mode=mode, unit=plan.unit, points=points))
-    return curves
+    return [curves[key] for key in sorted(curves)]
 
 
 def run_stability_modes(

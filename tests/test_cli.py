@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -264,6 +265,29 @@ def test_score_skips_a_line_nested_too_deep(tmp_path, synth_files, capsys):
     assert len(out.read_text().splitlines()) == 1 + 8
 
 
+def test_score_skips_a_line_holding_a_lone_surrogate(tmp_path, synth_files, capsys):
+    corpus, lexicon = synth_files
+    with open(corpus, "ab") as fh:
+        fh.write(b'{"author_id":"\\udfff","timestamp":"2014-03-01T12:00:00Z",'
+                 b'"medium":"synthetic","text":"w"}\n')
+    out = tmp_path / "scores.csv"
+    assert run("score", "--corpus", str(corpus), "--lexicon", str(lexicon), "--out", str(out)) == 0
+    assert "skipped 1 malformed record(s)" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 1 + 8
+
+
+def test_ingest_keeps_the_good_records_beside_a_lone_surrogate(tmp_path, capsys):
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_bytes(
+        b'{"author_id":"a","created_at":"Wed Aug 27 13:08:45 +0000 2008","text":"bad \\ud800 here"}\n'
+        b'{"author_id":"a","created_at":"Wed Aug 27 13:09:45 +0000 2008","text":"good text"}\n'
+    )
+    out = tmp_path / "corpus.jsonl"
+    assert run("ingest", "--input", str(tweets), "--format", "tweets-jsonl", "--out", str(out)) == 0
+    assert "skipped 1 malformed" in capsys.readouterr().err
+    assert [m.text for m in read_corpus(out).messages] == ["good text"]
+
+
 _SCIPY_PROBE = textwrap.dedent("""
     import sys
     from lexstable.cli import main
@@ -370,6 +394,46 @@ def test_stability_with_model(tmp_path, synth_files):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 2  # traits(2) x sizes(2) x modes(1)
     assert {l.split(",")[0] for l in lines[1:]} == {"steady", "lively"}
+
+
+# sha256 of curves.csv and curves.svg from `synth` + `stability --mode both`.
+# Same inputs and seed must give byte-identical output; a digest changes
+# only with an on-purpose change to the curves or their formats.
+GOLDEN_CURVES = {
+    "messages": (
+        [],
+        ["--unit", "messages", "--base", "200", "--sizes", "10,25,50,100"],
+        "b76c65eb2351dbfc23fe192d49dc3cfe7f6d7f834ca569a3ababe455d168584e",
+        "65296b05f52b1accccfafbaf58c6783c3dc0d3f4509ed220fc8c59649e4c55c9",
+    ),
+    "words-model": (
+        ["--drift-rho", "0.9", "--drift-sigma", "0.5"],
+        ["--unit", "words", "--base", "2000", "--sizes", "50,200,500,1000"],
+        "552320bcab1d0c438423d5ce6ce51759bdd33ca6574756199920f460d792dad0",
+        "c66ada42c5508d33fa1bb47eb7e75cbcb92768892cf6f0fc393cbacdeed359ff",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CURVES))
+def test_stability_curves_match_their_golden_digests(tmp_path, case):
+    synth_flags, stability_flags, csv_digest, svg_digest = GOLDEN_CURVES[case]
+    corpus, lexicon = tmp_path / "corpus.jsonl", tmp_path / "synth.dic"
+    assert run("synth", "--authors", "6", "--messages", "200", "--seed", "3",
+               "--categories", "4", "--vocab-per-category", "6", *synth_flags,
+               "--out", str(corpus), "--lexicon-out", str(lexicon)) == 0
+    if case == "words-model":
+        model = tmp_path / "drift.model"
+        model.write_text("model golden\n"
+                         "trait steady intercept=1.5\n\tcat01 0.25\n\tcat02 -0.5\n\tcat04 0.125\n"
+                         "trait lively intercept=0\n\tcat03 1.0\n")
+        stability_flags = stability_flags + ["--model", str(model)]
+    out, svg = tmp_path / "curves.csv", tmp_path / "curves.svg"
+    assert run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon),
+               "--mode", "both", "--seed", "11", *stability_flags,
+               "--out", str(out), "--svg", str(svg)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_digest
 
 
 def test_traits_and_stability_name_every_absent_category(tmp_path, synth_files, capsys):

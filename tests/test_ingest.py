@@ -121,6 +121,20 @@ def test_lines_that_are_not_one_json_object_are_skipped(format):
     assert result.skipped == 4
 
 
+@pytest.mark.parametrize("format", ["tweets-jsonl", "generic-jsonl"])
+def test_records_holding_a_lone_surrogate_are_skipped(format):
+    # a lone surrogate cannot be written as UTF-8; an escaped pair is one character
+    stream = io.BytesIO(b"\n".join([
+        rb'{"author_id": "a", "timestamp": "2014-03-01T12:00:00Z", "text": "bad \ud800 here"}',
+        rb'{"author_id": "\udfff", "timestamp": "2014-03-01T12:00:00Z", "text": "ok"}',
+        rb'{"author_id": "a", "timestamp": "2014-03-01T12:00:00Z", "text": "pair \ud83d\ude00"}',
+        rb'{"author_id": "a", "timestamp": "2014-03-01T12:00:00Z", "text": "ok"}',
+    ]))
+    result = parse_messages(stream, format, "forum")
+    assert [m.text for m in result.messages] == ["pair \U0001f600", "ok"]
+    assert result.skipped == 2
+
+
 # --- generic-jsonl -----------------------------------------------------
 
 def test_generic_jsonl_drop_rule():
@@ -322,6 +336,18 @@ def test_corpus_roundtrip_and_determinism(tmp_path):
     lines = [json.loads(line) for line in p1.read_text().splitlines()]
     assert set(lines[0]) == {"author_id", "timestamp", "medium", "text"}
     assert lines[0]["timestamp"] == "2014-03-01T12:04:00Z"
+
+
+def test_read_corpus_skips_lines_holding_a_lone_surrogate(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"".join(
+        b'{"author_id":"%s","timestamp":"2014-03-01T12:00:00Z","medium":"%s","text":"%s"}\n' % fields
+        for fields in [(rb"\ud800", b"blog", b"x"), (b"a", rb"\udbff", b"x"),
+                       (b"a", b"blog", rb"x \udc00"), (b"a", b"blog", b"ok")]
+    ))
+    result = read_corpus(path)
+    assert [(m.author_id, m.medium, m.text) for m in result.messages] == [("a", "blog", "ok")]
+    assert result.skipped == 3
 
 
 def test_rebuild_is_idempotent(tmp_path):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexstable.errors import IneligibleAuthorError, PlanError, StatsError
+from lexstable.errors import EmptySampleError, IneligibleAuthorError, PlanError, StatsError
 from lexstable.ingest import AuthorCorpus, Message
+from lexstable.lexicon import score_features
 from lexstable import stability
 from lexstable.rng import Stream, derive_seed
 from lexstable.stability import (
+    ANCHORS,
     StabilityCurve,
     SubsamplePlan,
     VariabilityPoint,
@@ -25,7 +27,7 @@ from lexstable.stability import (
 )
 from lexstable.stats import PopulationStats
 from lexstable.synth import SyntheticSpec, generate_population, vocab_word
-from lexstable.traits import parse_trait_model
+from lexstable.traits import infer_traits, parse_trait_model
 
 EPOCH = datetime(2014, 1, 1, tzinfo=timezone.utc)
 
@@ -386,6 +388,95 @@ def test_modes_share_one_preparation_without_changing_results(small_population, 
     assert {c.mode for c in together} == set(BOTH_MODES)
 
 
+@pytest.fixture(scope="module")
+def drifting_population():
+    spec = SyntheticSpec(n_categories=4, vocab_per_category=6, n_messages=240, seed=19,
+                         drift_rho=0.9, drift_sigma=0.5)
+    corpora, lexicon = generate_population(spec, 8, rate_jitter=0.15)
+    # every other run of 30 messages is empty, so some subsamples have no tokens
+    sparse = [Message("sparse", m.timestamp, m.medium, "" if (i // 30) % 2 else m.text)
+              for i, m in enumerate(corpora[0].messages)]
+    return corpora + [AuthorCorpus("sparse", corpora[0].medium, sparse)], lexicon
+
+
+def reference_curves(corpora, p, lexicon, model, modes):
+    """The stability experiment as a plain loop over the public pieces:
+    one subsample, one score and one scalar rank at a time."""
+    names = list(model.trait_names) if model is not None else list(lexicon.category_names)
+
+    def values(messages):
+        fv = score_features(messages, lexicon)
+        if model is None:
+            return [fv.frequencies[cid] for cid in lexicon.category_ids]
+        scores = infer_traits(fv, model, lexicon).values
+        return [scores[name] for name in names]
+
+    eligible = []
+    for c in sorted(corpora, key=lambda c: (c.author_id, c.medium)):
+        try:
+            eligible.append((c, values(full_sample(c, p))))
+        except (IneligibleAuthorError, EmptySampleError):
+            continue
+    ladder = PopulationStats({name: [v[j] for _, v in eligible] for j, name in enumerate(names)})
+    curves = []
+    for mode in modes:
+        points = {name: [] for name in names}
+        for size in p.sizes:
+            pairs = []  # (full-sample values, subsample values)
+            for c, full_values in eligible:
+                seed = derive_seed(p.master_seed, c.author_id)
+                for sub in make_subsamples(c, replace(p, mode=mode), size, seed):
+                    try:
+                        pairs.append((full_values, values(sub)))
+                    except EmptySampleError:
+                        continue
+            for j, name in enumerate(names):
+                obs = np.array([abs(ladder.percentile_rank(name, sub[j])
+                                    - ladder.percentile_rank(name, full[j]))
+                                for full, sub in pairs])
+                mean, sd = float(np.mean(obs)), float(np.std(obs, ddof=1))
+                points[name].append(VariabilityPoint(
+                    size=size, n_observations=obs.size, mean_variability=mean,
+                    sd_variability=sd, p95_empirical=float(np.percentile(obs, 95)),
+                    p95_parametric=mean + 1.645 * sd))
+        curves += [StabilityCurve(name, mode, p.unit, points[name]) for name in names]
+    return sorted(curves, key=lambda c: (c.trait_name, c.mode))
+
+
+# Message-unit base below the corpus length, so the anchors differ.
+REFERENCE_PLANS = {
+    "messages": dict(unit="messages", base=180, sizes=(10, 30, 90)),
+    "words": UNIT_PLANS["words"],
+}
+
+
+@pytest.mark.parametrize("unit", sorted(REFERENCE_PLANS))
+@pytest.mark.parametrize("anchor", ANCHORS)
+@pytest.mark.parametrize("with_model", [False, True])
+def test_run_stability_equals_the_reference_loop(drifting_population, unit, anchor, with_model):
+    corpora, lexicon = drifting_population
+    model = parse_trait_model([
+        "model toy", "trait broad intercept=0.5", "\tcat01 0.5", "\tcat02 -0.25", "\tcat04 0.125",
+        "trait narrow intercept=0", "\tcat03 1.0",
+    ]) if with_model else None
+    p = plan(anchor=anchor, **REFERENCE_PLANS[unit])
+    curves = run_stability(corpora, p, lexicon, model, modes=BOTH_MODES)
+    assert curves == reference_curves(corpora, p, lexicon, model, BOTH_MODES)
+    if unit == "messages":  # the sparse author's empty blocks are skipped
+        assert (curves[0].mode, curves[0].points[0].n_observations) == ("contiguous", 9 * 18 - 9)
+
+
+def test_a_size_without_any_tokens_is_an_error(small_population):
+    _, lexicon = small_population
+    # each author's one token is in its last message: at size 1 that
+    # message is a block of its own, at size 2 it falls past both blocks
+    quiet = [AuthorCorpus(a, "synthetic", [
+        Message(a, EPOCH + timedelta(minutes=i), "synthetic", t)
+        for i, t in enumerate([""] * 4 + [vocab_word(k, 0)])]) for k, a in ((1, "q1"), (2, "q2"))]
+    with pytest.raises(StatsError, match="no usable observations at size 2$"):
+        run_stability(quiet, plan(base=5, sizes=(1, 2)), lexicon)
+
+
 def test_run_stability_validates_modes(small_population):
     corpora, lexicon = small_population
     for modes in [(), ("random", "random"), ("sideways",)]:
@@ -397,7 +488,6 @@ def test_zero_variability_of_full_sample_against_itself(small_population):
     corpora, lexicon = small_population
     p = plan(base=240, sizes=(10,))
     values = {}
-    from lexstable.lexicon import score_features
     for c in corpora:
         fv = score_features(full_sample(c, p), lexicon)
         values[c.author_id] = [fv.frequencies[cid] for cid, _ in lexicon.categories]
