@@ -128,11 +128,12 @@ def welch_p(a, b) -> float:
 
     t = (mean_a - mean_b) / sqrt(s_a^2/n_a + s_b^2/n_b) with
     Welch-Satterthwaite degrees of freedom; p from the Student-t
-    survival function. Returns exactly 1.0 when t == 0.
+    survival function (``tdist.t_two_sided_p``). Returns exactly 1.0
+    when t == 0.
     """
     # Imported here, not at module level, so that only the command that
-    # computes p-values (compare) pays for importing scipy.
-    from scipy.special import stdtr
+    # computes p-values (compare) loads the decimal module.
+    from .tdist import t_two_sided_p
 
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -148,7 +149,7 @@ def welch_p(a, b) -> float:
     if t == 0.0:
         return 1.0
     df = (qa + qb) ** 2 / (qa ** 2 / (a.size - 1) + qb ** 2 / (b.size - 1))
-    return float(2.0 * stdtr(df, -abs(t)))
+    return t_two_sided_p(t, df)
 
 
 def mean_ci95(values) -> tuple[float, float]:

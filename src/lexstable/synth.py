@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -118,6 +119,13 @@ def author_rates(spec: SyntheticSpec, author_id: str, rate_jitter: float) -> np.
     return jittered
 
 
+@lru_cache(maxsize=1)
+def _minute_stamps(n: int) -> tuple[datetime, ...]:
+    """The ``n`` message timestamps, one minute apart from _EPOCH; one
+    tuple is shared by every author of a population."""
+    return tuple(_EPOCH + timedelta(minutes=t) for t in range(n))
+
+
 def _drift_log_rates(stream: Stream, n: int, k: int, rho: float, sigma: float) -> np.ndarray:
     eps = stream.gaussians(n * k).reshape(n, k) * sigma
     if sigma == 0.0:  # each step is rho * 0.0 + (+-0.0) == 0.0; the draw keeps later draws in place
@@ -180,8 +188,8 @@ def generate_author(
     tokens = list(map(vocab.__getitem__, (cat_idx * v + word_idx).tolist()))
     ends = np.cumsum(lengths).tolist()
     messages = [
-        Message(author_id, _EPOCH + timedelta(minutes=t), SYNTH_MEDIUM, " ".join(tokens[start:end]))
-        for t, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+        Message(author_id, stamp, SYNTH_MEDIUM, " ".join(tokens[start:end]))
+        for stamp, start, end in zip(_minute_stamps(n), [0] + ends[:-1], ends)
     ]
     return AuthorCorpus(author_id=author_id, medium=SYNTH_MEDIUM, messages=messages)
 

@@ -289,6 +289,7 @@ def test_ingest_keeps_the_good_records_beside_a_lone_surrogate(tmp_path, capsys)
 
 
 _SCIPY_PROBE = textwrap.dedent("""
+    import csv
     import sys
     from lexstable.cli import main
     from conftest import data_path
@@ -300,6 +301,8 @@ _SCIPY_PROBE = textwrap.dedent("""
     d = sys.argv[1]
     run("synth", "--authors", 4, "--messages", 20, "--seed", 1, "--categories", 3,
         "--out", f"{d}/c.jsonl", "--lexicon-out", f"{d}/l.dic")
+    run("synth", "--authors", 4, "--messages", 20, "--seed", 2, "--categories", 3,
+        "--out", f"{d}/c2.jsonl", "--lexicon-out", f"{d}/l2.dic")
     run("ingest", "--input", f"{d}/c.jsonl", "--format", "generic-jsonl", "--out", f"{d}/i.jsonl")
     run("score", "--corpus", f"{d}/i.jsonl", "--lexicon", f"{d}/l.dic",
         "--out", f"{d}/s.csv", "--stats-out", f"{d}/s.json")
@@ -309,13 +312,17 @@ _SCIPY_PROBE = textwrap.dedent("""
         "--base", 20, "--sizes", "5,10", "--out", f"{d}/curves.csv")
     run("renorm", "--from-stats", f"{d}/s.json", "--to-stats", f"{d}/s.json",
         "--trait", "cat01", "--value", 1.0)
-    main(["compare", "--corpus-a", f"{d}/c.jsonl", "--corpus-b", f"{d}/i.jsonl",
-          "--lexicon", f"{d}/l.dic", "--out", f"{d}/cmp.csv"])
-    assert "scipy" in sys.modules
+    with open(f"{d}/m.model", "w") as fh:
+        fh.write("model m\\ntrait steady intercept=0\\n\\tcat01 0.5\\n\\tcat02 -0.5\\n")
+    for model_flags in ([], ["--model", f"{d}/m.model"]):
+        run("compare", "--corpus-a", f"{d}/c.jsonl", "--corpus-b", f"{d}/c2.jsonl",
+            "--lexicon", f"{d}/l.dic", *model_flags, "--out", f"{d}/cmp.csv")
+        with open(f"{d}/cmp.csv", newline="") as fh:  # a p-value below 1 went through the t tail
+            assert any(float(row["p_value"]) < 1.0 for row in csv.DictReader(fh)), model_flags
 """)
 
 
-def test_only_compare_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter, so no other test has imported scipy yet
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],

@@ -389,29 +389,36 @@ _EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
 _MAX_SECONDS = (datetime.max - datetime.min) // timedelta(seconds=1)
 
 
+# Any string a message can be written with: JSON's escapes, controls,
+# the line and paragraph separators and non-BMP characters, but no lone
+# surrogate, which UTF-8 cannot encode.
+_WRITABLE_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\x85\r\u2028\u2029\U0001f600 ')
+                         | st.characters(blacklist_categories=("Cs",)), max_size=10)
+
+
 @given(records=st.lists(
     st.tuples(
-        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
-        st.integers(0, _MAX_SECONDS),
-        st.sampled_from(KNOWN_MEDIA),
-        _RAW_TEXT,
+        st.sampled_from(["a", "b", ""]) | _WRITABLE_TEXT,  # several authors, often shared
+        st.integers(0, 3) | st.integers(0, _MAX_SECONDS),  # tied stamps, and any whole second
+        st.sampled_from(KNOWN_MEDIA) | _WRITABLE_TEXT,
+        _RAW_TEXT.map(lambda raw: clean_text(raw, "twitter")) | _WRITABLE_TEXT,
     ),
-    max_size=12,
+    max_size=16,
 ))
 @example(records=[("a", (datetime(5, 1, 1) - datetime.min) // timedelta(seconds=1), "twitter", "year five")])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_read_corpus_inverts_write_corpus(tmp_path_factory, records):
-    # canonical records: what ingest writes, i.e. cleaned text and
-    # second-precision UTC timestamps anywhere in the datetime range
-    messages = [Message(author, _EPOCH + timedelta(seconds=secs), medium, clean_text(raw, medium))
-                for author, secs, medium, raw in records]
-    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
-    write_corpus(messages, path)
-    result = read_corpus(path)
-    key = lambda m: (m.author_id, m.timestamp, m.medium, m.text)  # noqa: E731
-    want = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
-    assert [key(m) for m in result.messages] == [key(m) for m in want]
-    assert result.skipped == 0
+    # a canonical corpus survives write, read and write again unchanged:
+    # the same messages in write order, the same bytes, nothing dropped
+    messages = [Message(author, _EPOCH + timedelta(seconds=secs), medium, text)
+                for author, secs, medium, text in records]
+    d = tmp_path_factory.mktemp("corpus")
+    write_corpus(messages, d / "first.jsonl")
+    result = read_corpus(d / "first.jsonl")
+    assert (result.lines, result.skipped, result.filtered) == (len(messages), 0, 0)
+    assert result.messages == sorted(messages, key=lambda m: (m.author_id, m.timestamp))
+    write_corpus(result.messages, d / "second.jsonl")
+    assert (d / "second.jsonl").read_bytes() == (d / "first.jsonl").read_bytes()
 
 
 # Any string a field can hold: JSON's escapes, controls, the line and
