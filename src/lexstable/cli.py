@@ -29,7 +29,7 @@ from .lexicon import load_lexicon, score_features, write_lexicon
 from .report import (
     comparison_svg, curves_svg, fmt, write_comparison_csv, write_curves_csv, write_svg,
 )
-from .stability import MODES, SubsamplePlan, run_stability_modes
+from .stability import ANCHORS, MODES, UNITS, SubsamplePlan, run_stability_modes
 from .stats import PopulationStats, compare_media, load_stats_json, renormalize, save_stats_json
 from .synth import SyntheticSpec, companion_lexicon, iter_population
 from .synth import generate_population  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
@@ -71,10 +71,10 @@ def _iter_corpora(path, min_messages: int):
 def _score_authors(corpora, lexicon, model, min_words: int):
     """Score each author's corpus, keeping none of its messages. Returns
     the value names (the model's traits, or the lexicon's categories
-    without a model), one ``(author_id, medium, messages, feature vector,
-    values)`` per author with at least ``min_words`` tokens (and at least
-    one), and the number of authors dropped for having no tokens when
-    ``min_words`` is 0."""
+    without a model) and one ``(author_id, medium, messages, feature
+    vector, values)`` per author with at least ``min_words`` tokens (and
+    at least one). Authors dropped for having no tokens when
+    ``min_words`` is 0 are counted in a note."""
     names = list(model.trait_names) if model is not None else list(lexicon.category_names)
     scored = []
     dropped = 0
@@ -93,20 +93,13 @@ def _score_authors(corpora, lexicon, model, min_words: int):
             scores = infer_traits(fv, model, lexicon).values
             values = [scores[name] for name in names]
         scored.append((corpus.author_id, corpus.medium, corpus.total_messages, fv, values))
-    return names, scored, dropped
+    if dropped:
+        print(f"note: dropped {dropped} author(s) with empty corpora", file=sys.stderr)
+    return names, scored
 
 
 def _columns(names, scored) -> dict[str, list[float]]:
     return {name: [row[-1][j] for row in scored] for j, name in enumerate(names)}
-
-
-def _value_table(corpora, lexicon, model, min_words: int):
-    """Per-author trait (or category frequency) columns; authors whose
-    corpus has no tokens are dropped with a note."""
-    names, scored, dropped = _score_authors(corpora, lexicon, model, min_words)
-    if dropped:
-        print(f"note: dropped {dropped} author(s) with empty corpora", file=sys.stderr)
-    return _columns(names, scored)
 
 
 def cmd_ingest(args) -> int:
@@ -128,7 +121,7 @@ def cmd_score(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.command == "traits" else None
     corpora = _iter_corpora(args.corpus, args.min_messages)
-    names, scored, _ = _score_authors(corpora, lexicon, model, args.min_words)
+    names, scored = _score_authors(corpora, lexicon, model, args.min_words)
     counts = model is None
     with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -147,8 +140,10 @@ def cmd_score(args) -> int:
 def cmd_compare(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
-    table_a = _value_table(_iter_corpora(args.corpus_a, args.min_messages), lexicon, model, args.min_words)
-    table_b = _value_table(_iter_corpora(args.corpus_b, args.min_messages), lexicon, model, args.min_words)
+    table_a, table_b = (
+        _columns(*_score_authors(_iter_corpora(path, args.min_messages), lexicon, model, args.min_words))
+        for path in (args.corpus_a, args.corpus_b)
+    )
     rows = compare_media(table_a, table_b, baseline=args.baseline)
     write_comparison_csv(rows, args.out)
     if args.svg:
@@ -296,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--model", default=None, help="trait model; omit for category-level curves")
-    p.add_argument("--unit", choices=("messages", "words"), default="messages")
-    p.add_argument("--mode", choices=("random", "contiguous", "both"), default="both")
+    p.add_argument("--unit", choices=UNITS, default="messages")
+    p.add_argument("--mode", choices=MODES + ("both",), default="both")
     p.add_argument("--base", type=int, required=True, help="full-sample size per author")
     p.add_argument("--sizes", type=_int_list, required=True, help="comma-separated subsample sizes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--anchor", choices=("latest", "earliest"), default="latest")
+    p.add_argument("--anchor", choices=ANCHORS, default="latest")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_stability)

@@ -18,44 +18,43 @@ LARGE_EFFECT_D = 0.8
 SIGNIFICANT_P = 0.001
 
 
+def _moments(*columns) -> tuple[int, list[tuple[int, float, float]]]:
+    """Size, mean and sample variance (0.0 for one value) of each column
+    after dividing every column by one power of two, 2**e, that puts
+    their largest magnitude in [0.5, 1); returns e and the moments.
+
+    The division is exact, so ratios of these moments (d, t, the Welch
+    df) are the unscaled ones, and a mean or sd scales back with
+    ``math.ldexp(value, e)``. On values in the normal float range every
+    result is the same bits as without the scaling; columns near either
+    end of the range no longer overflow or underflow."""
+    arrays = [np.asarray(column, dtype=np.float64) for column in columns]
+    e = math.frexp(max(float(np.abs(arr).max(initial=0.0)) for arr in arrays))[1]
+    moments = []
+    for arr in arrays:
+        arr = np.ldexp(arr, -e)
+        mean = float(arr.mean()) if arr.size else math.nan
+        var = float(arr.var(ddof=1)) if arr.size > 1 else 0.0
+        moments.append((int(arr.size), mean, var))
+    return e, moments
+
+
 class PopulationStats:
-    """Per-name sorted value ladders with n / mean / sample sd."""
+    """Per-name sorted value ladders."""
 
     def __init__(self, values: Mapping[str, Sequence[float]]):
         self._sorted: dict[str, np.ndarray] = {}
-        self._mean: dict[str, float] = {}
-        self._sd: dict[str, float] = {}
         for name, column in values.items():
             arr = np.sort(np.asarray(column, dtype=np.float64))
             if arr.size < 1:
                 raise StatsError(f"no values for {name!r}")
             self._sorted[name] = arr
-            self._mean[name] = float(arr.mean())
-            self._sd[name] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._sorted)
 
     def _column(self, name: str) -> np.ndarray:
         try:
             return self._sorted[name]
         except KeyError:
             raise StatsError(f"unknown trait {name!r}") from None
-
-    def n(self, name: str) -> int:
-        return int(self._column(name).size)
-
-    def mean(self, name: str) -> float:
-        self._column(name)
-        return self._mean[name]
-
-    def sd(self, name: str) -> float:
-        self._column(name)
-        return self._sd[name]
-
-    def values(self, name: str) -> np.ndarray:
-        return self._column(name).copy()
 
     def percentile_rank(self, name: str, value: float) -> float:
         """Midrank percentile of one value; see ``percentile_ranks``."""
@@ -71,10 +70,12 @@ class PopulationStats:
         return 100.0 * (lo + 0.5 * (hi - lo)) / arr.size
 
     def summary(self) -> dict[str, dict]:
-        return {
-            name: {"n": int(arr.size), "mean": self._mean[name], "sd": self._sd[name]}
-            for name, arr in self._sorted.items()
-        }
+        """n, mean and sample sd (0.0 for one value) of each ladder."""
+        summary = {}
+        for name, arr in self._sorted.items():
+            e, [(n, mean, var)] = _moments(arr)
+            summary[name] = {"n": n, "mean": math.ldexp(mean, e), "sd": math.ldexp(math.sqrt(var), e)}
+        return summary
 
 
 def save_stats_json(stats: PopulationStats, path) -> None:
@@ -111,16 +112,13 @@ def load_stats_json(path) -> dict[str, dict]:
 
 def cohens_d(a, b) -> float:
     """Standardized mean difference (mean_a - mean_b) / pooled sd."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
+    _, [(na, ma, va), (nb, mb, vb)] = _moments(a, b)
+    if na < 2 or nb < 2:
         raise StatsError("cohens_d needs at least 2 values per group")
-    va = float(a.var(ddof=1))
-    vb = float(b.var(ddof=1))
-    pooled = math.sqrt(((a.size - 1) * va + (b.size - 1) * vb) / (a.size + b.size - 2))
+    pooled = math.sqrt(((na - 1) * va + (nb - 1) * vb) / (na + nb - 2))
     if pooled == 0.0:
         raise DegenerateGroupsError("both groups are constant; d is undefined")
-    return (float(a.mean()) - float(b.mean())) / pooled
+    return (ma - mb) / pooled
 
 
 def welch_p(a, b) -> float:
@@ -135,31 +133,27 @@ def welch_p(a, b) -> float:
     # computes p-values (compare) loads the decimal module.
     from .tdist import t_two_sided_p
 
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
+    _, [(na, ma, va), (nb, mb, vb)] = _moments(a, b)
+    if na < 2 or nb < 2:
         raise StatsError("welch_p needs at least 2 values per group")
-    va = float(a.var(ddof=1))
-    vb = float(b.var(ddof=1))
     if va == 0.0 and vb == 0.0:
         raise DegenerateGroupsError("both groups have zero variance")
-    qa = va / a.size
-    qb = vb / b.size
-    t = (float(a.mean()) - float(b.mean())) / math.sqrt(qa + qb)
+    qa = va / na
+    qb = vb / nb
+    t = (ma - mb) / math.sqrt(qa + qb)
     if t == 0.0:
         return 1.0
-    df = (qa + qb) ** 2 / (qa ** 2 / (a.size - 1) + qb ** 2 / (b.size - 1))
+    df = (qa + qb) ** 2 / (qa ** 2 / (na - 1) + qb ** 2 / (nb - 1))
     return t_two_sided_p(t, df)
 
 
 def mean_ci95(values) -> tuple[float, float]:
     """Normal-approximation 95% CI of the mean: mean +/- 1.96 * s/sqrt(n)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
+    e, [(n, m, var)] = _moments(values)
+    if n < 2:
         raise StatsError("mean_ci95 needs at least 2 values")
-    half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    m = float(arr.mean())
-    return (m - half, m + half)
+    half = 1.96 * math.sqrt(var) / math.sqrt(n)
+    return (math.ldexp(m - half, e), math.ldexp(m + half, e))
 
 
 def renormalize(x: float, src: tuple[float, float], dst: tuple[float, float]) -> float:
@@ -196,13 +190,12 @@ def compare_media(
     table_a: Mapping[str, Sequence[float]],
     table_b: Mapping[str, Sequence[float]],
     baseline: str = "b",
-    d_threshold: float = LARGE_EFFECT_D,
-    p_threshold: float = SIGNIFICANT_P,
 ) -> list[MediaComparisonRow]:
     """Compare two per-author value tables name by name.
 
     Produces one row per shared name, ratio relative to the baseline
-    side's mean, rows sorted by |d| descending (ties by name).
+    side's mean, rows sorted by |d| descending (ties by name); flags use
+    |d| > LARGE_EFFECT_D and p < SIGNIFICANT_P.
     """
     if baseline not in ("a", "b"):
         raise ValueError("baseline must be 'a' or 'b'")
@@ -211,27 +204,25 @@ def compare_media(
         raise StatsError("tables share no trait/category names")
     rows = []
     for name in shared:
-        col_a = np.asarray(table_a[name], dtype=np.float64)
-        col_b = np.asarray(table_b[name], dtype=np.float64)
-        if col_a.size < 2 or col_b.size < 2:
+        col_a, col_b = table_a[name], table_b[name]
+        e, [(n_a, mean_a, _), (n_b, mean_b, _)] = _moments(col_a, col_b)
+        if n_a < 2 or n_b < 2:
             raise StatsError(f"column {name!r} has fewer than 2 values")
-        mean_a = float(col_a.mean())
-        mean_b = float(col_b.mean())
         base, other = (mean_b, mean_a) if baseline == "b" else (mean_a, mean_b)
         ratio = other / base if base != 0.0 else None
         d = cohens_d(col_a, col_b)
         p = welch_p(col_a, col_b)
         rows.append(MediaComparisonRow(
             name=name,
-            mean_a=mean_a,
-            mean_b=mean_b,
+            mean_a=math.ldexp(mean_a, e),
+            mean_b=math.ldexp(mean_b, e),
             ratio=ratio,
             cohens_d=d,
             p_value=p,
             ci95_a=mean_ci95(col_a),
             ci95_b=mean_ci95(col_b),
-            large_effect=abs(d) > d_threshold,
-            significant=p < p_threshold,
+            large_effect=abs(d) > LARGE_EFFECT_D,
+            significant=p < SIGNIFICANT_P,
         ))
     rows.sort(key=lambda r: (-abs(r.cohens_d), r.name))
     return rows

@@ -31,7 +31,6 @@ from .rng import Stream, derive_seed
 
 _EPOCH = datetime(2014, 1, 1, tzinfo=timezone.utc)
 _DIGIT_LETTERS = "abcdefghij"
-_TOKEN_CHUNK = 1 << 18
 
 SYNTH_MEDIUM = "synthetic"
 
@@ -140,16 +139,11 @@ def _drift_log_rates(stream: Stream, n: int, k: int, rho: float, sigma: float) -
 
 def _categorical_rows(u: np.ndarray, cum_rows: np.ndarray) -> np.ndarray:
     """Index of the first cumulative bin exceeding each uniform, row by
-    row; chunked to bound memory for long token streams."""
-    n_cats = cum_rows.shape[1]
-    out = np.empty(u.size, dtype=np.int64)
-    for start in range(0, u.size, _TOKEN_CHUNK):
-        stop = min(start + _TOKEN_CHUNK, u.size)
-        cmp = u[start:stop, None] < cum_rows[start:stop]
-        idx = cmp.argmax(axis=1)
-        idx[~cmp.any(axis=1)] = n_cats - 1  # guard against rounding at 1.0
-        out[start:stop] = idx
-    return out
+    row."""
+    cmp = u[:, None] < cum_rows
+    idx = cmp.argmax(axis=1)
+    idx[~cmp.any(axis=1)] = cum_rows.shape[1] - 1  # guard against rounding at 1.0
+    return idx
 
 
 def generate_author(

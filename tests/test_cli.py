@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -229,6 +231,61 @@ def test_compare_command(tmp_path):
                         "ci_a_lo,ci_a_hi,ci_b_lo,ci_b_hi,large_effect,significant")
     assert len(lines) == 1 + 3
     assert svg.exists()
+
+
+def test_compare_and_traits_hold_at_any_finite_scale(tmp_path):
+    # one trait, one category's frequency times 2**996, 2**-1000 or 1: d and
+    # p do not depend on the scale, and the population sd scales exactly
+    for side, seed in (("a", 1), ("b", 2)):
+        assert run("synth", "--authors", "12", "--messages", "40", "--seed", str(seed),
+                   "--categories", "3", "--out", str(tmp_path / f"{side}.jsonl"),
+                   "--lexicon-out", str(tmp_path / "l.dic")) == 0
+    exponents = (996, -1000, 0)
+    d_and_p, sds = [], []
+    for k in exponents:
+        out = tmp_path / f"k{k}"
+        out.mkdir()
+        (out / "m.model").write_text(f"model m\ntrait t intercept=0\n\tcat01 {math.ldexp(1.0, k)!r}\n")
+        common = ("--lexicon", str(tmp_path / "l.dic"), "--model", str(out / "m.model"))
+        assert run("compare", "--corpus-a", str(tmp_path / "a.jsonl"), "--corpus-b", str(tmp_path / "b.jsonl"),
+                   *common, "--out", str(out / "cmp.csv")) == 0
+        with open(out / "cmp.csv", newline="") as fh:
+            [row] = csv.DictReader(fh)
+        d_and_p.append((row["cohens_d"], row["p_value"]))
+        assert all(math.isfinite(float(row[c])) for c in ("ci_a_lo", "ci_a_hi", "ci_b_lo", "ci_b_hi"))
+        assert run("traits", "--corpus", str(tmp_path / "a.jsonl"), *common,
+                   "--out", str(out / "t.csv"), "--stats-out", str(out / "s.json")) == 0
+        sds.append(json.loads((out / "s.json").read_text())["t"]["sd"])
+    assert d_and_p[0] == d_and_p[1] == d_and_p[2]
+    assert float(d_and_p[2][1]) < 1.0
+    assert all(math.isfinite(sd) for sd in sds)
+    assert sds[:2] == [math.ldexp(sds[2], k) for k in exponents[:2]]
+
+
+_EMPTY_AUTHOR = (b'{"author_id":"zz","timestamp":"2014-03-01T12:00:00Z",'
+                 b'"medium":"synthetic","text":"123 456"}\n')
+
+
+@pytest.mark.parametrize("command", ["score", "traits", "compare"])
+def test_every_scoring_command_notes_authors_without_tokens(tmp_path, synth_files, capsys, command):
+    corpus, lexicon = synth_files
+    padded = tmp_path / "padded.jsonl"
+    padded.write_bytes(corpus.read_bytes() + _EMPTY_AUTHOR)
+    model = tmp_path / "m.model"
+    model.write_text("model m\ntrait t intercept=1\n\tcat01 0.5\n")
+    outputs = []
+    for path in (corpus, padded):
+        out = tmp_path / path.stem
+        out.mkdir()
+        if command == "compare":
+            argv = ["compare", "--corpus-a", str(path), "--corpus-b", str(corpus)]
+        else:
+            argv = [command, "--corpus", str(path)] + (["--model", str(model)] if command == "traits" else [])
+        assert run(*argv, "--lexicon", str(lexicon), "--out", str(out / "out.csv")) == 0
+        outputs.append((out / "out.csv").read_bytes())
+        err = capsys.readouterr().err
+        assert ("note: dropped 1 author(s) with empty corpora" in err) == (path == padded)
+    assert outputs[0] == outputs[1]
 
 
 def test_renorm_command(tmp_path, capsys, monkeypatch):

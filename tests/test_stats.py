@@ -129,6 +129,8 @@ def test_cohens_d_degenerate():
         cohens_d([1, 1], [1, 1])
     with pytest.raises(StatsError):
         cohens_d([1], [1, 2])
+    with pytest.raises(StatsError):
+        cohens_d([], [1, 2])
 
 
 @given(
@@ -269,6 +271,54 @@ def test_t_tail_matches_mpmath(t, df):
     assume(ref is not None)
     got = t_two_sided_p(t, df)
     assert abs(got - ref) <= 1e-12 * ref, (t, df, got, float(ref))
+
+
+# --- scale ---------------------------------------------------------------
+
+_MAGNITUDE = st.floats(2.0 ** -20, 2.0 ** 7)
+_COLUMN = st.lists(st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x)),
+                   min_size=2, max_size=30)
+
+
+def _bits(statistic, a, b) -> str:
+    try:
+        return statistic(a, b).hex()
+    except DegenerateGroupsError:
+        return "degenerate"
+
+
+@given(a=_COLUMN, b=_COLUMN, k=st.integers(-1000, 1000))
+@settings(max_examples=300, deadline=None)
+@example(a=[0.0, 1.0], b=[0.0, 3.0], k=1000)  # variances overflow without the scaling
+@example(a=[0.0, 1.0], b=[1.0, 4.0], k=-1000)  # variances underflow to zero without it
+@example(a=[2.0, 2.0], b=[2.0, 2.0], k=1000)
+def test_statistics_do_not_depend_on_scale(a, b, k):
+    # scaling every value by 2**k is exact here (every scaled value is a
+    # normal float), so d and p must not move by a bit, and the CI bounds,
+    # mean and sd must move by exactly 2**k
+    sa = [math.ldexp(x, k) for x in a]
+    sb = [math.ldexp(x, k) for x in b]
+    for statistic in (cohens_d, welch_p):
+        assert _bits(statistic, sa, sb) == _bits(statistic, a, b)
+    for column, scaled in ((a, sa), (b, sb)):
+        assert mean_ci95(scaled) == tuple(math.ldexp(x, k) for x in mean_ci95(column))
+    summary = PopulationStats({"a": a, "b": b}).summary()
+    for name, entry in PopulationStats({"a": sa, "b": sb}).summary().items():
+        assert entry == {"n": summary[name]["n"],
+                         "mean": math.ldexp(summary[name]["mean"], k),
+                         "sd": math.ldexp(summary[name]["sd"], k)}
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0, 1e150], [0, 3e150]),
+    ([0, 1e-160], [1e-160, 3e-160]),
+    ([0, 1e-200], [1e-200, 4e-200]),
+])
+def test_statistics_of_columns_far_from_unit_scale_are_finite(a, b):
+    assert math.isfinite(cohens_d(a, b))
+    assert 0.0 < welch_p(a, b) < 1.0
+    for column in (a, b):
+        assert all(math.isfinite(x) for x in mean_ci95(column))
 
 
 def test_reference_values_from_committed_oracle():
