@@ -33,7 +33,7 @@ from .stability import ANCHORS, MODES, UNITS, SubsamplePlan, run_stability_modes
 from .stats import PopulationStats, compare_media, load_stats_json, renormalize, save_stats_json
 from .synth import SyntheticSpec, companion_lexicon, iter_population
 from .synth import generate_population  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
-from .traits import infer_traits, load_trait_model
+from .traits import infer_traits, load_trait_model, weight_matrix
 
 
 def _sha256(path) -> str:
@@ -74,7 +74,10 @@ def _score_authors(corpora, lexicon, model, min_words: int):
     without a model) and one ``(author_id, medium, messages, feature
     vector, values)`` per author with at least ``min_words`` tokens (and
     at least one). Authors dropped for having no tokens when
-    ``min_words`` is 0 are counted in a note."""
+    ``min_words`` is 0 are counted in a note. A model is checked against
+    the lexicon before the first author is read."""
+    if model is not None:
+        weight_matrix(model, lexicon)  # ModelError naming every category the lexicon lacks
     names = list(model.trait_names) if model is not None else list(lexicon.category_names)
     scored = []
     dropped = 0
@@ -122,6 +125,8 @@ def cmd_score(args) -> int:
     model = load_trait_model(args.model) if args.command == "traits" else None
     corpora = _iter_corpora(args.corpus, args.min_messages)
     names, scored = _score_authors(corpora, lexicon, model, args.min_words)
+    # built before any write, so a column without values leaves no file
+    stats = PopulationStats(_columns(names, scored)) if args.stats_out else None
     counts = model is None
     with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -130,8 +135,8 @@ def cmd_score(args) -> int:
             [author_id, medium] + [messages, fv.total_tokens] * counts + [fmt(v) for v in values]
             for author_id, medium, messages, fv, values in scored
         )
-    if args.stats_out:
-        save_stats_json(PopulationStats(_columns(names, scored)), args.stats_out)
+    if stats is not None:
+        save_stats_json(stats, args.stats_out)
     inputs = [args.corpus, args.lexicon] + ([args.model] if model else [])
     _write_manifest(args.command, args, inputs, args.out)
     return 0

@@ -23,9 +23,7 @@ from typing import Iterator
 
 from .atomic import atomic_write
 from .errors import CorpusOrderError
-from .lexicon import count_tokens, tokenize
-
-KNOWN_MEDIA = ("twitter", "email", "blog", "forum", "wiki")
+from .lexicon import tokenize
 
 _URL_PREFIXES = ("http://", "https://", "www.")
 _ON_WROTE_RE = re.compile(r"^On .*wrote:$")
@@ -82,10 +80,6 @@ class AuthorCorpus:
     @property
     def total_messages(self) -> int:
         return len(self.messages)
-
-    @property
-    def total_words(self) -> int:
-        return count_tokens(self.messages)
 
 
 @dataclass
@@ -361,26 +355,20 @@ def parse_messages(stream, format: str, medium: str) -> ParseResult:
     return result
 
 
-def build_author_corpora(messages, min_messages: int = 1, min_words: int = 0) -> list[AuthorCorpus]:
+def build_author_corpora(messages, min_messages: int = 1) -> list[AuthorCorpus]:
     """Group messages by (author_id, medium), sort chronologically with
-    stable ties, and keep authors meeting both thresholds. Output is
-    sorted by (author_id, medium)."""
+    stable ties, and keep authors with at least ``min_messages``
+    messages. Output is sorted by (author_id, medium)."""
     if min_messages < 1:
         raise ValueError("min_messages must be >= 1")
-    if min_words < 0:
-        raise ValueError("min_words must be >= 0")
     groups: dict[tuple[str, str], list[Message]] = {}
     for msg in messages:
         groups.setdefault((msg.author_id, msg.medium), []).append(msg)
     corpora = []
     for (author_id, medium) in sorted(groups):
         msgs = sorted(groups[(author_id, medium)], key=lambda m: m.timestamp)
-        corpus = AuthorCorpus(author_id, medium, msgs)
-        if corpus.total_messages < min_messages:
-            continue
-        if min_words > 0 and corpus.total_words < min_words:
-            continue
-        corpora.append(corpus)
+        if len(msgs) >= min_messages:
+            corpora.append(AuthorCorpus(author_id, medium, msgs))
     return corpora
 
 

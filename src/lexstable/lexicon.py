@@ -254,13 +254,6 @@ def _tokens(messages) -> list[str]:
     return joined.split()
 
 
-def count_tokens(messages) -> int:
-    """The summed ``tokenize`` lengths of ``messages`` (Message objects or
-    strings), from one ``_tokens`` pass."""
-    tokens = _tokens(messages)
-    return len(tokens) - tokens.count("A")
-
-
 def score_features(messages, lexicon: Lexicon) -> FeatureVector:
     """Score concatenated messages against the lexicon.
 

@@ -158,14 +158,26 @@ def mean_ci95(values) -> tuple[float, float]:
 
 def renormalize(x: float, src: tuple[float, float], dst: tuple[float, float]) -> float:
     """Map ``x`` from one population's (mean, sd) to another's:
-    dst_mean + dst_sd * (x - src_mean) / src_sd."""
+    dst_mean + dst_sd * (x - src_mean) / src_sd, in that order on
+    mantissas with the powers of two added apart (``x`` and ``src_mean``
+    share one), so only a result beyond the float range fails
+    (StatsError). Normal-range results are the plain formula's bits."""
     src_mean, src_sd = src
     dst_mean, dst_sd = dst
     if src_sd == 0.0:
         raise StatsError("source sd is zero; renormalization undefined")
     if src_sd < 0.0 or dst_sd < 0.0:
         raise StatsError("standard deviations must be non-negative")
-    return dst_mean + dst_sd * (x - src_mean) / src_sd
+    e_x = math.frexp(max(abs(x), abs(src_mean)))[1]
+    diff, e_diff = math.frexp(math.ldexp(x, -e_x) - math.ldexp(src_mean, -e_x))
+    (m_dst, e_dst), (m_src, e_src) = math.frexp(dst_sd), math.frexp(src_sd)
+    step = m_dst * diff / m_src  # dst_sd * (x - src_mean) / src_sd is step * 2**e_step
+    e_step = e_dst + e_x + e_diff - e_src
+    e = max(math.frexp(dst_mean)[1], e_step) if step else 0
+    try:
+        return math.ldexp(math.ldexp(dst_mean, -e) + math.ldexp(step, e_step - e), e)
+    except OverflowError:
+        raise StatsError("renormalized value is beyond the float range") from None
 
 
 @dataclass

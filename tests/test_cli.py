@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from datetime import datetime, timezone
 
 import pytest
 
@@ -16,8 +17,8 @@ from lexstable import lexicon as lexicon_module
 from lexstable import synth as synth_module
 from lexstable.cli import main
 from lexstable.errors import PlanError
-from lexstable.ingest import read_corpus, write_corpus
-from lexstable.lexicon import write_lexicon
+from lexstable.ingest import Message, read_corpus, write_corpus
+from lexstable.lexicon import tokenize, write_lexicon
 from lexstable.synth import SyntheticSpec, generate_population
 
 from conftest import data_path, fixture_path
@@ -286,6 +287,89 @@ def test_every_scoring_command_notes_authors_without_tokens(tmp_path, synth_file
         err = capsys.readouterr().err
         assert ("note: dropped 1 author(s) with empty corpora" in err) == (path == padded)
     assert outputs[0] == outputs[1]
+
+
+def _scoring_argv(command, corpus, out_dir, *extra):
+    corpus_flags = ["--corpus-a", corpus, "--corpus-b", corpus] if command == "compare" else ["--corpus", corpus]
+    return [str(arg) for arg in [command, *corpus_flags, *extra, "--out", out_dir / "out.csv"]]
+
+
+@pytest.mark.parametrize("command", ["traits", "compare"])
+def test_a_model_is_checked_against_the_lexicon_before_any_corpus_is_read(tmp_path, capsys, command):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(_EMPTY_AUTHOR)
+    model = tmp_path / "m.model"
+    model.write_text("model m\ntrait t intercept=0\n\tnosuch 1.0\n")
+    for path in (corpus, tmp_path / "missing.jsonl"):
+        out_dir = tmp_path / path.stem
+        out_dir.mkdir()
+        assert run(*_scoring_argv(command, path, out_dir, "--lexicon", data_path("toy.dic"), "--model", model)) == 1
+        assert "absent from the lexicon: nosuch" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
+
+
+@pytest.mark.parametrize("command, name", [("score", "pronoun"), ("traits", "t")])
+def test_stats_that_cannot_be_built_write_nothing(tmp_path, capsys, command, name):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_bytes(_EMPTY_AUTHOR)
+    model = tmp_path / "m.model"
+    model.write_text("model m\ntrait t intercept=0\n\tpronoun 1.0\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    model_flags = ["--model", model] if command == "traits" else []
+    assert run(*_scoring_argv(command, corpus, out_dir, "--lexicon", data_path("toy.dic"), *model_flags,
+                              "--stats-out", out_dir / "stats.json")) == 1
+    assert f"error: no values for {name!r}" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+# author "a" has exactly 5 tokens; "b" and "c" have 6 and 7
+_FEW_WORDS = {"a": ["i am happy", "me too"], "b": ["i am so happy", "today friend"],
+              "c": ["me me happy", "happier sad day night"]}
+
+
+@pytest.mark.parametrize("command", ["score", "traits", "compare"])
+def test_min_words_keeps_an_author_with_exactly_that_many_tokens(tmp_path, command):
+    messages = [Message(author, datetime(2014, 3, 1, 12, i, tzinfo=timezone.utc), "blog", text)
+                for author, texts in _FEW_WORDS.items() for i, text in enumerate(texts)]
+    assert sum(len(tokenize(m.text)) for m in messages if m.author_id == "a") == 5
+    full, without_a = tmp_path / "full.jsonl", tmp_path / "without_a.jsonl"
+    write_corpus(messages, full)
+    write_corpus([m for m in messages if m.author_id != "a"], without_a)
+    model = tmp_path / "m.model"
+    model.write_text("model m\ntrait t intercept=0\n\tposemo 1.0\n")
+    model_flags = ["--model", model] if command == "traits" else []
+
+    def output(corpus, min_words):
+        out_dir = tmp_path / f"{corpus.stem}-{min_words}"
+        out_dir.mkdir()
+        assert run(*_scoring_argv(command, corpus, out_dir, "--lexicon", data_path("toy.dic"), *model_flags,
+                                  "--min-words", min_words)) == 0
+        return (out_dir / "out.csv").read_bytes()
+
+    assert output(full, 5) == output(full, 0) != output(without_a, 0) == output(full, 6)
+
+
+def test_renorm_holds_at_any_finite_scale(tmp_path, capsys):
+    # one trait, one category's frequency times 1 or 2**996: the mapped
+    # value scales exactly with the populations
+    for side, seed in (("a", 1), ("b", 2)):
+        assert run("synth", "--authors", "30", "--messages", "200", "--seed", str(seed),
+                   "--out", str(tmp_path / f"{side}.jsonl"), "--lexicon-out", str(tmp_path / "l.dic")) == 0
+    printed = []
+    for k in (0, 996):
+        out = tmp_path / f"k{k}"
+        out.mkdir()
+        (out / "m.model").write_text(f"model m\ntrait t intercept=0\n\tcat01 {math.ldexp(1.0, k)!r}\n")
+        for side in ("a", "b"):
+            assert run("traits", "--corpus", str(tmp_path / f"{side}.jsonl"), "--lexicon", str(tmp_path / "l.dic"),
+                       "--model", str(out / "m.model"), "--out", str(out / f"{side}.csv"),
+                       "--stats-out", str(out / f"{side}.json")) == 0
+        capsys.readouterr()
+        assert run("renorm", "--from-stats", str(out / "a.json"), "--to-stats", str(out / "b.json"),
+                   "--trait", "t", "--value", repr(math.ldexp(10.0, k))) == 0
+        printed.append(capsys.readouterr().out.strip())
+    assert printed == ["9.58603737058", "6.41970096962e+300"]
 
 
 def test_renorm_command(tmp_path, capsys, monkeypatch):

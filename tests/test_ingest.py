@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexstable.ingest import (
-    KNOWN_MEDIA,
     Message,
     ParseResult,
     build_author_corpora,
@@ -276,20 +275,19 @@ def msg(author, minute, text="w " * 6, medium="twitter"):
 
 def test_thresholds_are_inclusive():
     messages = [msg("a", i % 60, text="word " * 12) for i in range(100)]
-    corpora = build_author_corpora(messages, min_messages=100, min_words=1000)
+    corpora = build_author_corpora(messages, min_messages=100)
     assert len(corpora) == 1
     assert corpora[0].total_messages == 100
-    assert corpora[0].total_words == 1200
 
 
 def test_just_below_message_threshold_excluded():
     messages = [msg("a", i % 60, text="word " * 51) for i in range(99)]
     assert sum(m.word_count for m in messages) > 5000
-    assert build_author_corpora(messages, min_messages=100, min_words=1000) == []
+    assert build_author_corpora(messages, min_messages=100) == []
 
 
 def test_empty_input():
-    assert build_author_corpora([], 1, 0) == []
+    assert build_author_corpora([], 1) == []
 
 
 def test_grouping_sorting_and_tie_stability():
@@ -300,7 +298,7 @@ def test_grouping_sorting_and_tie_stability():
         msg("a", 1, text="second tie"),
         msg("a", 1, text="third tie", medium="email"),
     ]
-    corpora = build_author_corpora(messages, 1, 0)
+    corpora = build_author_corpora(messages, 1)
     assert [(c.author_id, c.medium) for c in corpora] == [
         ("a", "email"), ("a", "twitter"), ("b", "twitter")]
     twitter_a = corpora[1]
@@ -311,9 +309,9 @@ def test_grouping_sorting_and_tie_stability():
 
 def test_validation():
     with pytest.raises(ValueError):
-        build_author_corpora([], 0, 0)
-    with pytest.raises(ValueError):
-        build_author_corpora([], 1, -1)
+        build_author_corpora([], 0)
+    with pytest.raises(TypeError):  # no word threshold: the commands apply --min-words when they score
+        build_author_corpora([], 1, 0)
 
 
 # --- canonical corpus IO ----------------------------------------------
@@ -352,12 +350,12 @@ def test_read_corpus_skips_lines_holding_a_lone_surrogate(tmp_path):
 
 def test_rebuild_is_idempotent(tmp_path):
     messages = [msg("a", i, text="some words here") for i in range(5)]
-    corpora = build_author_corpora(messages, 1, 0)
+    corpora = build_author_corpora(messages, 1)
     path = tmp_path / "c.jsonl"
     write_corpus([m for c in corpora for m in c.messages], path)
-    rebuilt = build_author_corpora(read_corpus(path).messages, 1, 0)
-    assert [(c.author_id, c.total_messages, c.total_words) for c in rebuilt] == \
-           [(c.author_id, c.total_messages, c.total_words) for c in corpora]
+    rebuilt = build_author_corpora(read_corpus(path).messages, 1)
+    assert [(c.author_id, c.medium, c.total_messages) for c in rebuilt] == \
+           [(c.author_id, c.medium, c.total_messages) for c in corpora]
     assert [[m.text for m in c.messages] for c in rebuilt] == \
            [[m.text for m in c.messages] for c in corpora]
 
@@ -385,6 +383,7 @@ _RAW_TEXT = st.lists(
 ).map(" ".join)
 
 
+_MEDIA = ("twitter", "email", "blog", "forum", "wiki")
 _EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
 _MAX_SECONDS = (datetime.max - datetime.min) // timedelta(seconds=1)
 
@@ -400,7 +399,7 @@ _WRITABLE_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\x85\r\u2028\u2029\U00
     st.tuples(
         st.sampled_from(["a", "b", ""]) | _WRITABLE_TEXT,  # several authors, often shared
         st.integers(0, 3) | st.integers(0, _MAX_SECONDS),  # tied stamps, and any whole second
-        st.sampled_from(KNOWN_MEDIA) | _WRITABLE_TEXT,
+        st.sampled_from(_MEDIA) | _WRITABLE_TEXT,
         _RAW_TEXT.map(lambda raw: clean_text(raw, "twitter")) | _WRITABLE_TEXT,
     ),
     max_size=16,
@@ -460,10 +459,10 @@ _JUNK_LINES = st.sampled_from([
 ])
 
 
-def _streamed_corpora(path, min_messages, min_words):
+def _streamed_corpora(path, min_messages):
     tally = ParseResult()
     corpora = [c for run in iter_authors(path, tally)
-               for c in build_author_corpora(run, min_messages, min_words)]
+               for c in build_author_corpora(run, min_messages)]
     return corpora, tally.skipped
 
 
@@ -479,11 +478,10 @@ def _streamed_corpora(path, min_messages, min_words):
     ),
     junk=st.lists(st.tuples(st.integers(0, 10**6), _JUNK_LINES), max_size=6),
     min_messages=st.integers(1, 3),
-    min_words=st.integers(0, 4),
     rng=st.randoms(use_true_random=False),
 )
 @settings(max_examples=100, deadline=None)
-def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk, min_messages, min_words, rng):
+def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk, min_messages, rng):
     messages = [Message(author, ts(f"2014-03-01T12:{minute:02d}:00Z"), medium, f"{text} {i}".strip())
                 for i, (author, minute, medium, text) in enumerate(records)]
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
@@ -499,37 +497,8 @@ def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
     result = read_corpus(path)
-    want = build_author_corpora(result.messages, min_messages, min_words)
-    assert _streamed_corpora(path, min_messages, min_words) == (want, result.skipped)
-
-
-def test_min_words_zero_never_tokenizes(tmp_path, monkeypatch):
-    path = tmp_path / "c.jsonl"
-    write_corpus([msg("a", 1), msg("a", 2)], path)
-
-    def no_tokenize(text):
-        raise AssertionError(f"tokenized {text!r}")
-
-    monkeypatch.setattr("lexstable.ingest.tokenize", no_tokenize)
-    messages = read_corpus(path).messages
-    assert len(build_author_corpora(messages, 1, 0)) == 1
-    monkeypatch.undo()
-    assert build_author_corpora(messages, 1, 12) != []
-    assert build_author_corpora(messages, 1, 13) == []
-
-
-def test_min_words_counts_without_tokenize(tmp_path, monkeypatch):
-    path = tmp_path / "c.jsonl"
-    write_corpus([msg("a", 1), msg("a", 2)], path)
-    messages = read_corpus(path).messages
-
-    def no_tokenize(text):
-        raise AssertionError(f"tokenized {text!r}")
-
-    monkeypatch.setattr("lexstable.ingest.tokenize", no_tokenize)
-    monkeypatch.setattr("lexstable.lexicon.tokenize", no_tokenize)
-    assert build_author_corpora(messages, 1, 12) != []
-    assert build_author_corpora(messages, 1, 13) == []
+    want = build_author_corpora(result.messages, min_messages)
+    assert _streamed_corpora(path, min_messages) == (want, result.skipped)
 
 
 def test_no_output_tweet_starts_with_rt():

@@ -10,7 +10,6 @@ from lexstable.errors import EmptySampleError, LexiconError
 from lexstable.lexicon import (
     Lexicon,
     count_matrix,
-    count_tokens,
     load_lexicon,
     parse_lexicon,
     score_features,
@@ -312,7 +311,6 @@ def _check_against_the_token_loop(texts, lexicon):
     assert M.shape == (len(texts), len(lexicon.categories))
     assert M.tolist() == rows
     assert w.tolist() == lengths
-    assert count_tokens(texts) == sum(lengths)
     expected = {cid: sum(row[j] for row in rows) for cid, j in col.items()}
     if sum(lengths) == 0:
         with pytest.raises(EmptySampleError):
@@ -359,4 +357,3 @@ def test_count_kernels_never_tokenize(monkeypatch, toy):
     assert w.tolist() == [3, 0, 1, 2]
     fv = score_features(msgs, toy)
     assert fv.counts == {1: 2, 2: 2} and fv.total_tokens == 6
-    assert count_tokens(msgs) == 6

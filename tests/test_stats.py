@@ -383,6 +383,31 @@ def test_renormalize_round_trip(u, ma, sd_a, mb, sd_b):
     assert abs(back - x) <= 1e-9
 
 
+_SIGNED = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+
+
+@given(x=_SIGNED, src=st.tuples(_SIGNED, _MAGNITUDE), dst=st.tuples(_SIGNED, st.just(0.0) | _MAGNITUDE),
+       k=st.integers(-1000, 1000), j=st.integers(-1000, 1000))
+@settings(max_examples=500, deadline=None)
+@example(x=1.0, src=(0.0, 2.0 ** -20), dst=(0.0, 2.0 ** 7), k=-1000, j=1000)  # overflows without the scaling
+@example(x=2.0 ** 7, src=(-(2.0 ** 7), 1.0), dst=(1.0, 2.0 ** -20), k=1000, j=-1000)
+def test_renormalize_does_not_depend_on_scale(x, src, dst, k, j):
+    # scaling the source by 2**k and the destination by 2**j scales the
+    # result by exactly 2**j; at unit scale it is the plain formula's bits
+    (src_mean, src_sd), (dst_mean, dst_sd) = src, dst
+    mapped = renormalize(x, src, dst)
+    assert mapped == dst_mean + dst_sd * (x - src_mean) / src_sd
+    assume(mapped == 0.0 or -1021 <= math.frexp(mapped)[1] + j <= 1024)  # the scaled result is normal
+    scaled = renormalize(math.ldexp(x, k), (math.ldexp(src_mean, k), math.ldexp(src_sd, k)),
+                         (math.ldexp(dst_mean, j), math.ldexp(dst_sd, j)))
+    assert scaled == math.ldexp(mapped, j)
+
+
+def test_renormalize_beyond_the_float_range_is_an_error():
+    with pytest.raises(StatsError, match="beyond the float range"):
+        renormalize(10.0, (0.0, 1e-300), (0.0, 1e300))
+
+
 # --- compare_media -----------------------------------------------------
 
 def table(**cols):
