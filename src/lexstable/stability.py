@@ -12,15 +12,18 @@ The unit is a weight per message: 1 for messages, its token count for
 words. The full sample, each contiguous block and each random draw is
 the shortest run of messages whose weight reaches the base or the size.
 
-Each author is prepared once: one tokenizing pass over its messages
-gives the per-message category and word counts, from which the full
-sample, its values and its rank on the ladder follow. That one prepared
-store serves every mode; subsample scores are sums of its rows.
+Each author is observed once, as it arrives: one tokenizing pass over
+its messages gives the per-message category and word counts of its full
+sample, and every mode's subsamples at every size are drawn and scored
+from them as sums of their rows. Only the author's full-sample values
+and one values array per (size, mode) are kept; its counts are dropped
+before the next author, so memory grows with authors x subsamples x
+values, not with messages or categories.
 
-Curves are then built one size at a time. Every author's subsamples at
-that size are scored in (author_id, medium) order, each (mode, trait)
-column is ranked against the ladder with one call, and the size's
-points are aggregated at once: no observation array outlives its size.
+Curves are then built one (size, mode) at a time, in (author_id,
+medium) order: each trait column is ranked against the full samples'
+ladder with one call, the points are aggregated at once, and those
+values are dropped.
 
 Subsample seeds are derived as
 derive_seed(derive_seed(master_seed, author_id), size, index), so runs
@@ -111,8 +114,8 @@ class StabilityCurve:
 
 def _unit_weights(messages: Sequence[Message], unit: str) -> np.ndarray:
     """Each message's weight in ``unit``: 1 per message, or its word count.
-    Unit weights are a read-only broadcast view, so a prepared author
-    stores no array for them."""
+    Unit weights are a read-only broadcast view, so no array is made
+    for them."""
     if unit == "messages":
         return np.broadcast_to(np.int64(1), len(messages))
     return np.array([m.word_count for m in messages], dtype=np.int64)
@@ -245,30 +248,19 @@ def trait_variability(
     return abs(stats.percentile_rank(trait, sub_value) - stats.percentile_rank(trait, full_value))
 
 
-@dataclass
-class _AuthorData:
-    """One author's prepared full sample, shared by every mode."""
-
-    seed: int              # derive_seed(master_seed, author_id)
-    counts: np.ndarray     # full-sample per-message category counts (int32: the store stays small)
-    words: np.ndarray      # full-sample per-message token counts
-    weights: np.ndarray    # full-sample per-message weights in the plan's unit
-    full_values: np.ndarray
-
-
 def _author_values(freq: np.ndarray, W, b) -> np.ndarray:
     if W is None:
         return freq
     return project(freq, W, b)
 
 
-def _subsample_frequencies(author: _AuthorData, picks: list[np.ndarray]) -> np.ndarray:
+def _subsample_frequencies(counts: np.ndarray, words: np.ndarray, picks: list[np.ndarray]) -> np.ndarray:
     """Category frequencies of each subsample in ``picks`` that has any
     tokens; empty subsamples are skipped."""
     flat = np.concatenate(picks)
     starts = np.cumsum([0] + [p.size for p in picks[:-1]])
-    sums = np.add.reduceat(author.counts[flat], starts, axis=0, dtype=np.int64)
-    tokens = np.add.reduceat(author.words[flat], starts)
+    sums = np.add.reduceat(counts[flat], starts, axis=0, dtype=np.int64)
+    tokens = np.add.reduceat(words[flat], starts)
     keep = tokens > 0
     return 100.0 * sums[keep] / tokens[keep, None]
 
@@ -285,21 +277,22 @@ def run_stability(
     Produces one curve per trait (or per lexicon category when no model
     is given) and per mode, sorted by (trait, mode), points ordered by
     size. ``modes`` defaults to ``(plan.mode,)``; every mode runs from
-    the same prepared authors, so each message is tokenized once.
+    the same prepared author, so each message is tokenized once.
     Authors below the plan's base size, or whose full sample has no
     tokens, are excluded; fewer than two eligible authors is an error.
     Subsamples that tokenize to nothing are skipped, which
     n_observations reflects.
 
     ``corpora`` may be any iterable, such as a stream read one author
-    at a time: each author is prepared as it arrives and its messages
-    are not kept. The prepared authors are then ordered by
-    (author_id, medium), a stable sort, so results do not depend on the
-    order of ``corpora``.
+    at a time: each author is observed as it arrives (prepared, drawn
+    at every size and mode, and projected), and only its full-sample
+    values and one values array per (size, mode) are kept. The authors
+    are then ordered by (author_id, medium), a stable sort, so results
+    do not depend on the order of ``corpora``.
 
-    Curves are filled one size at a time: ranking takes one
-    ``percentile_ranks`` call per trait for the full samples plus one
-    per (size, mode, trait), each across all authors.
+    Ranking takes one ``percentile_ranks`` call per trait for the full
+    samples plus one per (size, mode, trait), each across all authors;
+    each (size, mode)'s values are dropped once ranked.
     """
     modes = (plan.mode,) if modes is None else tuple(modes)
     if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
@@ -311,55 +304,54 @@ def run_stability(
         W, b = None, None
         names = list(lexicon.category_names)
 
-    def prepare(corpus: AuthorCorpus) -> _AuthorData | None:
+    def observe(corpus: AuthorCorpus) -> tuple[tuple[str, str], np.ndarray, dict] | None:
+        """One author's (author_id, medium), full-sample values and
+        subsample values per (size, mode); None if it is not eligible."""
         try:
             if plan.unit == "messages":  # slice first: later messages are never tokenized
                 msgs = full_sample(corpus, plan)
-                M, w = count_matrix(msgs, lexicon)
+                counts, words = count_matrix(msgs, lexicon)
                 weights = _unit_weights(msgs, plan.unit)
             else:
-                M, w = count_matrix(corpus.messages, lexicon)
-                full = _full_range(w, plan, corpus.author_id)
-                M, w = M[full], w[full].copy()
-                weights = w
+                counts, words = count_matrix(corpus.messages, lexicon)
+                full = _full_range(words, plan, corpus.author_id)
+                counts, words = counts[full], words[full]
+                weights = words
         except IneligibleAuthorError:
             return None
-        total = int(w.sum())
+        total = int(words.sum())
         if total == 0:
             return None
-        freq = 100.0 * M.sum(axis=0) / total
-        return _AuthorData(
-            seed=derive_seed(plan.master_seed, corpus.author_id),
-            counts=M.astype(np.int32),
-            words=w,
-            weights=weights,
-            full_values=_author_values(freq, W, b),
-        )
+        seed = derive_seed(plan.master_seed, corpus.author_id)
+        store = {}
+        for size in plan.sizes:
+            for mode, picks in _subsample_picks(weights, plan.base_size, size, seed, modes).items():
+                store[size, mode] = _author_values(_subsample_frequencies(counts, words, picks), W, b)
+        full_values = _author_values(100.0 * counts.sum(axis=0) / total, W, b)
+        return (corpus.author_id, corpus.medium), full_values, store
 
-    keyed = [((c.author_id, c.medium), a) for c in corpora if (a := prepare(c)) is not None]
-    authors = [a for _, a in sorted(keyed, key=itemgetter(0))]
-    if len(authors) < 2:
+    observed = sorted((o for c in corpora if (o := observe(c)) is not None), key=itemgetter(0))
+    if len(observed) < 2:
         raise StatsError(
-            f"{len(authors)} eligible author(s); at least 2 are required to "
+            f"{len(observed)} eligible author(s); at least 2 are required to "
             "build a population ladder"
         )
 
-    full = np.array([a.full_values for a in authors])
+    full = np.array([values for _, values, _ in observed])
+    stores = [store for _, _, store in observed]
     ladder = PopulationStats({name: full[:, j] for j, name in enumerate(names)})
     full_ranks = [ladder.percentile_ranks(name, full[:, j]) for j, name in enumerate(names)]
 
     curves = {(name, mode): StabilityCurve(name, mode, plan.unit, []) for name in names for mode in modes}
     for size in plan.sizes:
-        values: dict[str, list[np.ndarray]] = {mode: [] for mode in modes}
-        for author in authors:
-            picked = _subsample_picks(author.weights, plan.base_size, size, author.seed, modes)
-            for mode, picks in picked.items():
-                values[mode].append(_author_values(_subsample_frequencies(author, picks), W, b))
         for mode in sorted(modes):
-            owner = np.repeat(np.arange(len(authors)), [v.shape[0] for v in values[mode]])
+            rows = [store[size, mode].shape[0] for store in stores]
+            owner = np.repeat(np.arange(len(rows)), rows)
             if owner.size == 0:
                 raise StatsError(f"no usable observations at size {size}")
-            sub = np.concatenate(values.pop(mode))
+            sub = np.empty((owner.size, len(names)))
+            for store, stop, n in zip(stores, np.cumsum(rows).tolist(), rows):
+                sub[stop - n:stop] = store.pop((size, mode))  # freed once copied: never held twice
             for j, name in enumerate(names):
                 obs = np.abs(ladder.percentile_ranks(name, sub[:, j]) - full_ranks[j][owner])
                 mean = float(obs.mean())

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 # Hypothesis imports this module when a property fails. Its imports
@@ -13,7 +16,8 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-PACKAGE_DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "lexstable" / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+PACKAGE_DATA = SRC / "lexstable" / "data"
 TEST_DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
@@ -25,3 +29,25 @@ def data_path(name: str) -> pathlib.Path:
 def fixture_path(name: str) -> pathlib.Path:
     """Fixture committed under tests/data."""
     return TEST_DATA / name
+
+
+# The child reads its own peak RSS just before it exits. Its ru_maxrss
+# would not do: on Linux that starts from the size of the process that
+# spawned it, here the whole test session.
+_PEAK_CHILD = """import sys
+from lexstable.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def cli_peak_mb(*argv) -> float:
+    """Run the CLI with ``argv`` in a child process and return that
+    child's own peak RSS (``VmHWM``) in MB. Linux only."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr.splitlines()[-1]) / 1024  # VmHWM is in kB

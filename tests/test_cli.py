@@ -21,7 +21,7 @@ from lexstable.ingest import Message, read_corpus, write_corpus
 from lexstable.lexicon import tokenize, write_lexicon
 from lexstable.synth import SyntheticSpec, generate_population
 
-from conftest import data_path, fixture_path
+from conftest import cli_peak_mb, data_path, fixture_path
 
 
 def run(*argv):
@@ -173,6 +173,22 @@ def test_stability_row_count_and_manifest(tmp_path, synth_files):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["command"] == "stability"
     assert len(manifest["input_digests"]) == 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_stability_memory_does_not_grow_with_messages_times_categories(tmp_path):
+    corpus, lexicon = tmp_path / "c.jsonl", tmp_path / "l.dic"
+    assert run("synth", "--authors", "40", "--messages", "2000", "--seed", "5",
+               "--categories", "70", "--vocab-per-category", "20",
+               "--out", str(corpus), "--lexicon-out", str(lexicon)) == 0
+    imports = cli_peak_mb("stability", "--help")
+    peak = cli_peak_mb("stability", "--corpus", corpus, "--lexicon", lexicon,
+                       "--unit", "messages", "--mode", "both", "--base", 2000,
+                       "--sizes", "20,50,100,200,500,1000", "--seed", 5, "--out", tmp_path / "curves.csv")
+    # Above the imports' peak (34.1 MB on x86-64 Linux): 34.8-35.7 MB
+    # when every author's per-message counts were kept to the last size,
+    # 22.8 MB when only each author's values are. The bound lies between.
+    assert peak - imports < 29.0, (peak, imports)
 
 
 def test_stability_size_exceeding_half_base_is_usage_error(tmp_path, synth_files, capsys):

@@ -396,7 +396,15 @@ def drifting_population():
     # every other run of 30 messages is empty, so some subsamples have no tokens
     sparse = [Message("sparse", m.timestamp, m.medium, "" if (i // 30) % 2 else m.text)
               for i, m in enumerate(corpora[0].messages)]
-    return corpora + [AuthorCorpus("sparse", corpora[0].medium, sparse)], lexicon
+    # interleaved in author_id order, two authors every plan must skip:
+    # 40 messages (at most 800 words) fall below every base, and a full
+    # sample of empty messages has no tokens
+    short = [Message("author0002b", m.timestamp, m.medium, m.text) for m in corpora[2].messages[:40]]
+    silent = [Message("author0005b", m.timestamp, m.medium, "") for m in corpora[5].messages]
+    skipped = [AuthorCorpus("author0002b", corpora[2].medium, short),
+               AuthorCorpus("author0005b", corpora[5].medium, silent)]
+    population = corpora + skipped + [AuthorCorpus("sparse", corpora[0].medium, sparse)]
+    return sorted(population, key=lambda c: c.author_id), lexicon
 
 
 def reference_curves(corpora, p, lexicon, model, modes):
@@ -460,7 +468,8 @@ def test_run_stability_equals_the_reference_loop(drifting_population, unit, anch
         "trait narrow intercept=0", "\tcat03 1.0",
     ]) if with_model else None
     p = plan(anchor=anchor, **REFERENCE_PLANS[unit])
-    curves = run_stability(corpora, p, lexicon, model, modes=BOTH_MODES)
+    # a one-shot stream, as the CLI reads it
+    curves = run_stability((c for c in corpora), p, lexicon, model, modes=BOTH_MODES)
     assert curves == reference_curves(corpora, p, lexicon, model, BOTH_MODES)
     if unit == "messages":  # the sparse author's empty blocks are skipped
         assert (curves[0].mode, curves[0].points[0].n_observations) == ("contiguous", 9 * 18 - 9)
