@@ -57,38 +57,40 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs, primary_out)
         fh.write("\n")
 
 
-def _iter_corpora(path, min_messages: int):
-    """The corpus's ``AuthorCorpus`` groups with at least ``min_messages``
-    messages, read one author at a time; the skipped-record note follows
-    the last author."""
+def _iter_corpora(path):
+    """The corpus's ``AuthorCorpus`` groups, read one author at a time;
+    the skipped-record note follows the last author."""
     tally = ParseResult()
     for run in iter_authors(path, tally):
-        yield from build_author_corpora(run, min_messages)
+        yield from build_author_corpora(run)
     if tally.skipped:
         print(f"note: skipped {tally.skipped} malformed record(s) in {path}", file=sys.stderr)
 
 
-def _score_authors(corpora, lexicon, model, min_words: int):
+def _score_authors(corpora, lexicon, model, args):
     """Score each author's corpus, keeping none of its messages. Returns
     the value names (the model's traits, or the lexicon's categories
     without a model) and one ``(author_id, medium, messages, feature
-    vector, values)`` per author with at least ``min_words`` tokens (and
-    at least one). Authors dropped for having no tokens when
-    ``min_words`` is 0 are counted in a note. A model is checked against
-    the lexicon before the first author is read."""
+    vector, values)`` per author with at least ``args.min_messages``
+    messages (fewer are never tokenized) and ``args.min_words`` tokens
+    (and at least one). Authors dropped for having no tokens when
+    ``args.min_words`` is 0 are counted in a note. A model is checked
+    against the lexicon before the first author is read."""
     if model is not None:
         weight_matrix(model, lexicon)  # ModelError naming every category the lexicon lacks
     names = list(model.trait_names) if model is not None else list(lexicon.category_names)
     scored = []
     dropped = 0
     for corpus in corpora:
+        if corpus.total_messages < args.min_messages:
+            continue
         try:
             fv = score_features(corpus.messages, lexicon)
         except EmptySampleError:
-            if min_words == 0:  # otherwise no tokens is below the threshold
+            if args.min_words == 0:  # otherwise no tokens is below the threshold
                 dropped += 1
             continue
-        if fv.total_tokens < min_words:
+        if fv.total_tokens < args.min_words:
             continue
         if model is None:
             values = [fv.frequencies[cid] for cid, _ in lexicon.categories]
@@ -123,8 +125,7 @@ def cmd_score(args) -> int:
     ``traits`` (a model's trait values): one row per author with tokens."""
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.command == "traits" else None
-    corpora = _iter_corpora(args.corpus, args.min_messages)
-    names, scored = _score_authors(corpora, lexicon, model, args.min_words)
+    names, scored = _score_authors(_iter_corpora(args.corpus), lexicon, model, args)
     # built before any write, so a column without values leaves no file
     stats = PopulationStats(_columns(names, scored)) if args.stats_out else None
     counts = model is None
@@ -146,7 +147,7 @@ def cmd_compare(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
     table_a, table_b = (
-        _columns(*_score_authors(_iter_corpora(path, args.min_messages), lexicon, model, args.min_words))
+        _columns(*_score_authors(_iter_corpora(path), lexicon, model, args))
         for path in (args.corpus_a, args.corpus_b)
     )
     rows = compare_media(table_a, table_b, baseline=args.baseline)
@@ -166,7 +167,7 @@ def cmd_stability(args) -> int:
     )
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
-    curves = run_stability_modes(_iter_corpora(args.corpus, 1), plan, lexicon, model, modes=modes)
+    curves = run_stability_modes(_iter_corpora(args.corpus), plan, lexicon, model, modes=modes)
     write_curves_csv(curves, args.out)
     if args.svg:
         write_svg(curves_svg(curves), args.svg)
@@ -244,6 +245,11 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
+def _add_thresholds(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--min-messages", type=_int_at_least(1), default=1)
+    p.add_argument("--min-words", type=_int_at_least(0), default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexstable",
@@ -265,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out", default=None, help="also write population stats JSON")
-    p.add_argument("--min-messages", type=_int_at_least(1), default=1)
-    p.add_argument("--min-words", type=_int_at_least(0), default=0)
+    _add_thresholds(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("traits", help="per-author trait scores from a linear model")
@@ -275,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out", default=None)
-    p.add_argument("--min-messages", type=_int_at_least(1), default=1)
-    p.add_argument("--min-words", type=_int_at_least(0), default=0)
+    _add_thresholds(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="cross-media comparison table (effect sizes, CIs, flags)")
@@ -288,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="side whose mean normalizes ratios (default: b)")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
-    p.add_argument("--min-messages", type=_int_at_least(1), default=1)
-    p.add_argument("--min-words", type=_int_at_least(0), default=0)
+    _add_thresholds(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("stability", help="variability curves across subsample sizes")

@@ -355,21 +355,15 @@ def parse_messages(stream, format: str, medium: str) -> ParseResult:
     return result
 
 
-def build_author_corpora(messages, min_messages: int = 1) -> list[AuthorCorpus]:
-    """Group messages by (author_id, medium), sort chronologically with
-    stable ties, and keep authors with at least ``min_messages``
-    messages. Output is sorted by (author_id, medium)."""
-    if min_messages < 1:
-        raise ValueError("min_messages must be >= 1")
+def build_author_corpora(messages) -> list[AuthorCorpus]:
+    """Group messages by (author_id, medium) and sort each group
+    chronologically with stable ties. Output is sorted by
+    (author_id, medium)."""
     groups: dict[tuple[str, str], list[Message]] = {}
     for msg in messages:
         groups.setdefault((msg.author_id, msg.medium), []).append(msg)
-    corpora = []
-    for (author_id, medium) in sorted(groups):
-        msgs = sorted(groups[(author_id, medium)], key=lambda m: m.timestamp)
-        if len(msgs) >= min_messages:
-            corpora.append(AuthorCorpus(author_id, medium, msgs))
-    return corpora
+    return [AuthorCorpus(author_id, medium, sorted(msgs, key=lambda m: m.timestamp))
+            for (author_id, medium), msgs in sorted(groups.items())]
 
 
 def format_timestamp(ts: datetime) -> str:

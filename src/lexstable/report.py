@@ -8,6 +8,7 @@ plotting library is involved.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Sequence
 
 from .atomic import atomic_write
@@ -68,6 +69,8 @@ def _c(x: float) -> str:
 
 
 def _text(x, y, s, size=11, anchor="start", color="#333333") -> str:
+    # xml.sax.saxutils.escape would import urllib.request: 2 MB more RSS
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{_c(x)}" y="{_c(y)}" font-size="{size}" '
             f'text-anchor="{anchor}" fill="{color}" '
             f'font-family="sans-serif">{s}</text>')
@@ -79,7 +82,6 @@ def _line(x1, y1, x2, y2, color="#999999", width=1.0) -> str:
 
 
 def _log_x(size: int, lo: float, hi: float, x0: float, x1: float) -> float:
-    import math
     if hi == lo:
         return (x0 + x1) / 2
     return x0 + (math.log10(size) - lo) / (hi - lo) * (x1 - x0)
@@ -89,8 +91,6 @@ def curves_svg(curves: Sequence[StabilityCurve]) -> str:
     """One stacked panel per (trait, unit), one line per mode, x on a
     log scale of subsample size, y mean variability in percentile
     points."""
-    import math
-
     groups: dict[tuple[str, str], dict[str, StabilityCurve]] = {}
     for c in curves:
         groups.setdefault((c.trait_name, c.unit), {})[c.mode] = c

@@ -5,10 +5,12 @@ Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014)
 run in counter mode: output ``i`` of a stream seeded with ``s`` is
 ``mix64(s + (i+1) * GOLDEN)`` in wrapping 64-bit arithmetic, where
 ``mix64`` is the standard xor-shift/multiply finalizer. Counter mode
-means any block of a stream can be produced in bulk with numpy and the
-result is identical on every platform and interpreter version; it also
-means the same block of many streams can be produced in one call
-(:func:`uniform_keys`).
+means any block of a stream, or the same block of many streams
+(:func:`uniform_keys`), can be produced in bulk with numpy. Raw outputs
+and uniforms take only integer arithmetic and an exact scaling, so they
+and every subsample draw are identical on every platform and Python
+version; :meth:`Stream.gaussians` goes through numpy's ``log``, ``cos``
+and ``sin``, so it repeats on one host but may differ across CPUs.
 
 Sub-stream seeds are derived with 8-byte BLAKE2b over a tagged, length-
 prefixed serialization of the parts (see :func:`derive_seed`), so
@@ -115,7 +117,7 @@ class Stream:
         return (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def gaussians(self, n: int) -> np.ndarray:
-        """``n`` standard normals via Box-Muller on uniform pairs."""
+        """``n`` standard normals via Box-Muller: identical on one host, not across CPUs."""
         m = (n + 1) // 2
         u1 = np.maximum(self.uniforms(m), _INV_2_53)  # keep log() finite
         u2 = self.uniforms(m)

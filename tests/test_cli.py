@@ -291,18 +291,21 @@ def test_every_scoring_command_notes_authors_without_tokens(tmp_path, synth_file
     model = tmp_path / "m.model"
     model.write_text("model m\ntrait t intercept=1\n\tcat01 0.5\n")
     outputs = []
-    for path in (corpus, padded):
-        out = tmp_path / path.stem
+    # zz has one message: --min-messages 2 skips it before it is tokenized
+    for path, min_messages in ((corpus, "1"), (padded, "1"), (padded, "2")):
+        out = tmp_path / f"{path.stem}-{min_messages}"
         out.mkdir()
         if command == "compare":
             argv = ["compare", "--corpus-a", str(path), "--corpus-b", str(corpus)]
         else:
             argv = [command, "--corpus", str(path)] + (["--model", str(model)] if command == "traits" else [])
-        assert run(*argv, "--lexicon", str(lexicon), "--out", str(out / "out.csv")) == 0
+        assert run(*argv, "--lexicon", str(lexicon), "--min-messages", min_messages,
+                   "--out", str(out / "out.csv")) == 0
         outputs.append((out / "out.csv").read_bytes())
-        err = capsys.readouterr().err
-        assert ("note: dropped 1 author(s) with empty corpora" in err) == (path == padded)
-    assert outputs[0] == outputs[1]
+        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: dropped")]
+        noted = path == padded and min_messages == "1"
+        assert notes == ["note: dropped 1 author(s) with empty corpora"] * noted
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _scoring_argv(command, corpus, out_dir, *extra):
@@ -339,9 +342,9 @@ def test_stats_that_cannot_be_built_write_nothing(tmp_path, capsys, command, nam
     assert list(out_dir.iterdir()) == []
 
 
-# author "a" has exactly 5 tokens; "b" and "c" have 6 and 7
-_FEW_WORDS = {"a": ["i am happy", "me too"], "b": ["i am so happy", "today friend"],
-              "c": ["me me happy", "happier sad day night"]}
+# author "a" has exactly 5 tokens in 2 messages; "b" and "c" have 6 and 7 in 3
+_FEW_WORDS = {"a": ["i am happy", "me too"], "b": ["i am so", "happy", "today friend"],
+              "c": ["me me happy", "happier sad", "day night"]}
 
 
 @pytest.mark.parametrize("command", ["score", "traits", "compare"])
@@ -356,14 +359,17 @@ def test_min_words_keeps_an_author_with_exactly_that_many_tokens(tmp_path, comma
     model.write_text("model m\ntrait t intercept=0\n\tposemo 1.0\n")
     model_flags = ["--model", model] if command == "traits" else []
 
-    def output(corpus, min_words):
-        out_dir = tmp_path / f"{corpus.stem}-{min_words}"
+    def output(corpus, flag, value):
+        out_dir = tmp_path / f"{corpus.stem}{flag}-{value}"
         out_dir.mkdir()
         assert run(*_scoring_argv(command, corpus, out_dir, "--lexicon", data_path("toy.dic"), *model_flags,
-                                  "--min-words", min_words)) == 0
+                                  flag, value)) == 0
         return (out_dir / "out.csv").read_bytes()
 
-    assert output(full, 5) == output(full, 0) != output(without_a, 0) == output(full, 6)
+    with_a = output(full, "--min-words", 0)
+    assert with_a == output(full, "--min-words", 5) == output(full, "--min-messages", 2)
+    assert with_a != output(without_a, "--min-words", 0) == output(full, "--min-words", 6) \
+        == output(full, "--min-messages", 3)
 
 
 def test_renorm_holds_at_any_finite_scale(tmp_path, capsys):

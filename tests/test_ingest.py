@@ -273,21 +273,8 @@ def msg(author, minute, text="w " * 6, medium="twitter"):
     return Message(author, ts(f"2014-03-01T12:{minute:02d}:00Z"), medium, text.strip())
 
 
-def test_thresholds_are_inclusive():
-    messages = [msg("a", i % 60, text="word " * 12) for i in range(100)]
-    corpora = build_author_corpora(messages, min_messages=100)
-    assert len(corpora) == 1
-    assert corpora[0].total_messages == 100
-
-
-def test_just_below_message_threshold_excluded():
-    messages = [msg("a", i % 60, text="word " * 51) for i in range(99)]
-    assert sum(m.word_count for m in messages) > 5000
-    assert build_author_corpora(messages, min_messages=100) == []
-
-
 def test_empty_input():
-    assert build_author_corpora([], 1) == []
+    assert build_author_corpora([]) == []
 
 
 def test_grouping_sorting_and_tie_stability():
@@ -298,7 +285,7 @@ def test_grouping_sorting_and_tie_stability():
         msg("a", 1, text="second tie"),
         msg("a", 1, text="third tie", medium="email"),
     ]
-    corpora = build_author_corpora(messages, 1)
+    corpora = build_author_corpora(messages)
     assert [(c.author_id, c.medium) for c in corpora] == [
         ("a", "email"), ("a", "twitter"), ("b", "twitter")]
     twitter_a = corpora[1]
@@ -308,10 +295,8 @@ def test_grouping_sorting_and_tie_stability():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        build_author_corpora([], 0)
-    with pytest.raises(TypeError):  # no word threshold: the commands apply --min-words when they score
-        build_author_corpora([], 1, 0)
+    with pytest.raises(TypeError):  # no thresholds: the scoring commands apply both
+        build_author_corpora([], 1)
 
 
 # --- canonical corpus IO ----------------------------------------------
@@ -350,10 +335,10 @@ def test_read_corpus_skips_lines_holding_a_lone_surrogate(tmp_path):
 
 def test_rebuild_is_idempotent(tmp_path):
     messages = [msg("a", i, text="some words here") for i in range(5)]
-    corpora = build_author_corpora(messages, 1)
+    corpora = build_author_corpora(messages)
     path = tmp_path / "c.jsonl"
     write_corpus([m for c in corpora for m in c.messages], path)
-    rebuilt = build_author_corpora(read_corpus(path).messages, 1)
+    rebuilt = build_author_corpora(read_corpus(path).messages)
     assert [(c.author_id, c.medium, c.total_messages) for c in rebuilt] == \
            [(c.author_id, c.medium, c.total_messages) for c in corpora]
     assert [[m.text for m in c.messages] for c in rebuilt] == \
@@ -459,10 +444,10 @@ _JUNK_LINES = st.sampled_from([
 ])
 
 
-def _streamed_corpora(path, min_messages):
+def _streamed_corpora(path):
     tally = ParseResult()
     corpora = [c for run in iter_authors(path, tally)
-               for c in build_author_corpora(run, min_messages)]
+               for c in build_author_corpora(run)]
     return corpora, tally.skipped
 
 
@@ -477,11 +462,10 @@ def _streamed_corpora(path, min_messages):
         max_size=20,
     ),
     junk=st.lists(st.tuples(st.integers(0, 10**6), _JUNK_LINES), max_size=6),
-    min_messages=st.integers(1, 3),
     rng=st.randoms(use_true_random=False),
 )
 @settings(max_examples=100, deadline=None)
-def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk, min_messages, rng):
+def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk, rng):
     messages = [Message(author, ts(f"2014-03-01T12:{minute:02d}:00Z"), medium, f"{text} {i}".strip())
                 for i, (author, minute, medium, text) in enumerate(records)]
     path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
@@ -497,8 +481,8 @@ def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
     result = read_corpus(path)
-    want = build_author_corpora(result.messages, min_messages)
-    assert _streamed_corpora(path, min_messages) == (want, result.skipped)
+    want = build_author_corpora(result.messages)
+    assert _streamed_corpora(path) == (want, result.skipped)
 
 
 def test_no_output_tweet_starts_with_rt():

@@ -1,9 +1,13 @@
+import xml.etree.ElementTree as ET
+from dataclasses import replace
+
 from lexstable.report import (
     comparison_svg,
     curves_svg,
     fmt,
     write_comparison_csv,
     write_curves_csv,
+    write_svg,
 )
 from lexstable.stability import StabilityCurve, VariabilityPoint
 from lexstable.stats import MediaComparisonRow
@@ -80,3 +84,16 @@ def test_comparison_svg_structure():
     assert "posemo" in svg and "work" in svg
     assert "n/a" in svg  # undefined ratio is labelled, not drawn
     assert svg == comparison_svg(rows(), baseline="b")
+
+
+def test_svg_labels_are_xml_escaped(tmp_path):
+    # trait and category names come from model and dictionary files
+    name = "R&D <x>"
+    svgs = {
+        f"{name} (messages)": curves_svg([replace(c, trait_name=name) for c in curves()]),
+        name: comparison_svg([replace(r, name=name) for r in rows()]),
+    }
+    for i, (label, svg) in enumerate(svgs.items()):
+        path = tmp_path / f"{i}.svg"
+        write_svg(svg, path)
+        assert label in {el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")}

@@ -234,12 +234,16 @@ def test_message_draw_equals_each_streams_permutation(n, data, seed, block):
     words=st.lists(st.integers(0, 30), min_size=1, max_size=200),
     data=st.data(),
     seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([8, 1 << 14]),
 )
 @settings(max_examples=100, deadline=None)
-def test_word_draw_equals_cumulative_prefix_of_each_permutation(words, data, seed):
+def test_word_draw_equals_cumulative_prefix_of_each_permutation(words, data, seed, block):
     w = np.array(words, dtype=np.int64)
     size = data.draw(st.integers(1, max(1, int(w.sum()))))
-    picks = random_subsamples(w, size, seed, 6)
+    count = data.draw(st.integers(1, 12))
+    with mock.patch.object(stability, "_KEY_BLOCK", block):  # 8: one stream per block
+        picks = random_subsamples(w, size, seed, count)
+    assert len(picks) == count
     for i, pick in enumerate(picks):
         perm = Stream(derive_seed(seed, size, i)).permutation(w.size)
         stop = int(np.searchsorted(np.cumsum(w[perm]), size, side="left"))
