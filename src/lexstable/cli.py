@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .atomic import atomic_write
 from .errors import EmptySampleError, LexstableError, PlanError
@@ -33,7 +35,8 @@ from .stability import ANCHORS, MODES, UNITS, SubsamplePlan, run_stability_modes
 from .stats import PopulationStats, compare_media, load_stats_json, renormalize, save_stats_json
 from .synth import SyntheticSpec, companion_lexicon, iter_population
 from .synth import generate_population  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
-from .traits import infer_traits, load_trait_model, weight_matrix
+from .traits import infer_traits  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
+from .traits import load_trait_model, project, weight_matrix
 
 
 def _sha256(path) -> str:
@@ -70,16 +73,16 @@ def _iter_corpora(path):
 def _score_authors(corpora, lexicon, model, args):
     """Score each author's corpus, keeping none of its messages. Returns
     the value names (the model's traits, or the lexicon's categories
-    without a model) and one ``(author_id, medium, messages, feature
-    vector, values)`` per author with at least ``args.min_messages``
-    messages (fewer are never tokenized) and ``args.min_words`` tokens
-    (and at least one). Authors dropped for having no tokens when
-    ``args.min_words`` is 0 are counted in a note. A model is checked
-    against the lexicon before the first author is read."""
+    without a model), one ``(author_id, medium, messages, tokens)`` per
+    author with at least ``args.min_messages`` messages (fewer are never
+    tokenized) and ``args.min_words`` tokens (and at least one), and
+    their values, authors x names: frequencies, or their one projection.
+    Authors dropped for having no tokens when ``args.min_words`` is 0 are
+    counted in a note. A model is checked against the lexicon before the
+    first author is read."""
     if model is not None:
-        weight_matrix(model, lexicon)  # ModelError naming every category the lexicon lacks
-    names = list(model.trait_names) if model is not None else list(lexicon.category_names)
-    scored = []
+        W, b = weight_matrix(model, lexicon)  # ModelError naming every category the lexicon lacks
+    authors, frequencies = [], []
     dropped = 0
     for corpus in corpora:
         if corpus.total_messages < args.min_messages:
@@ -92,19 +95,14 @@ def _score_authors(corpora, lexicon, model, args):
             continue
         if fv.total_tokens < args.min_words:
             continue
-        if model is None:
-            values = [fv.frequencies[cid] for cid, _ in lexicon.categories]
-        else:
-            scores = infer_traits(fv, model, lexicon).values
-            values = [scores[name] for name in names]
-        scored.append((corpus.author_id, corpus.medium, corpus.total_messages, fv, values))
+        authors.append((corpus.author_id, corpus.medium, corpus.total_messages, fv.total_tokens))
+        frequencies.append(list(fv.frequencies.values()))  # lexicon order
     if dropped:
         print(f"note: dropped {dropped} author(s) with empty corpora", file=sys.stderr)
-    return names, scored
-
-
-def _columns(names, scored) -> dict[str, list[float]]:
-    return {name: [row[-1][j] for row in scored] for j, name in enumerate(names)}
+    values = np.array(frequencies, dtype=np.float64).reshape(len(authors), len(lexicon.categories))
+    if model is None:
+        return list(lexicon.category_names), authors, values
+    return list(model.trait_names), authors, project(values, W, b)
 
 
 def cmd_ingest(args) -> int:
@@ -125,16 +123,16 @@ def cmd_score(args) -> int:
     ``traits`` (a model's trait values): one row per author with tokens."""
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.command == "traits" else None
-    names, scored = _score_authors(_iter_corpora(args.corpus), lexicon, model, args)
+    names, authors, values = _score_authors(_iter_corpora(args.corpus), lexicon, model, args)
     # built before any write, so a column without values leaves no file
-    stats = PopulationStats(_columns(names, scored)) if args.stats_out else None
+    stats = PopulationStats(dict(zip(names, values.T))) if args.stats_out else None
     counts = model is None
     with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["author_id", "medium"] + ["messages", "tokens"] * counts + names)
         writer.writerows(
-            [author_id, medium] + [messages, fv.total_tokens] * counts + [fmt(v) for v in values]
-            for author_id, medium, messages, fv, values in scored
+            [author_id, medium] + [messages, tokens] * counts + [fmt(v) for v in row]
+            for (author_id, medium, messages, tokens), row in zip(authors, values.tolist())
         )
     if stats is not None:
         save_stats_json(stats, args.stats_out)
@@ -146,11 +144,11 @@ def cmd_score(args) -> int:
 def cmd_compare(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
-    table_a, table_b = (
-        _columns(*_score_authors(_iter_corpora(path), lexicon, model, args))
-        for path in (args.corpus_a, args.corpus_b)
-    )
-    rows = compare_media(table_a, table_b, baseline=args.baseline)
+    tables = []
+    for path in (args.corpus_a, args.corpus_b):
+        names, _, values = _score_authors(_iter_corpora(path), lexicon, model, args)
+        tables.append(dict(zip(names, values.T)))
+    rows = compare_media(*tables, baseline=args.baseline)
     write_comparison_csv(rows, args.out)
     if args.svg:
         write_svg(comparison_svg(rows, baseline=args.baseline), args.svg)
@@ -337,6 +335,22 @@ def build_parser() -> argparse.ArgumentParser:
 _DEFAULT_MEDIUM = {"tweets-jsonl": "twitter", "mbox": "email", "generic-jsonl": "other"}
 
 
+def _check_outputs(args) -> None:
+    """Raise LexstableError naming the first output flag whose path
+    cannot take a file: its parent is not an existing directory, or it
+    is a directory. Run before any input is read, so such a run writes
+    none of its outputs."""
+    for key in ("out", "svg", "stats_out", "lexicon_out"):
+        path = getattr(args, key, None)
+        if path is None:
+            continue
+        flag, path = "--" + key.replace("_", "-"), Path(path)
+        if not path.parent.is_dir():
+            raise LexstableError(f"{flag} {path}: {path.parent} is not an existing directory")
+        if path.is_dir():
+            raise LexstableError(f"{flag} {path}: is a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -346,6 +360,7 @@ def main(argv=None) -> int:
     if args.command == "ingest" and args.medium is None:
         args.medium = _DEFAULT_MEDIUM[args.format]
     try:
+        _check_outputs(args)
         return args.func(args)
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)

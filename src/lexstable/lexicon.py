@@ -13,7 +13,8 @@ Dictionary file format (UTF-8 text)::
 
 A line containing only ``%`` opens the category block and a second one
 closes it. A trailing ``*`` marks a prefix entry; all other entries
-match whole tokens. An entry may list several category ids. Lines whose
+match whole tokens. U+2019 in an entry word reads as ``'``, as it does
+in tokens. An entry may list several category ids. Lines whose
 first non-blank character is ``#`` and blank lines are ignored.
 
 Counting: ``count_matrix`` and ``score_features`` tokenize the sample's
@@ -195,7 +196,7 @@ def parse_lexicon(lines: Iterable[str], source="<lexicon>") -> Lexicon:
         # entries
         if len(parts) < 2:
             raise _parse_error(source, line_no, "entry line must be '<word><TAB><id>[<TAB><id>...]'")
-        word = parts[0].lower()
+        word = parts[0].replace("’", "'").lower()
         try:
             refs = [int(p) for p in parts[1:]]
         except ValueError:

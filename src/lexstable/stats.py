@@ -96,9 +96,13 @@ def _is_finite_number(value) -> bool:
 
 def load_stats_json(path) -> dict[str, dict]:
     """Read a stats file written by ``save_stats_json``. Raises StatsError
-    unless every entry has finite numbers for n, mean and sd."""
+    unless every entry has finite numbers for n, mean and sd, and for
+    JSON nested too deep to decode."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise StatsError(f"stats file {path}: JSON nested too deep") from None
     if not isinstance(doc, dict):
         raise StatsError(f"stats file {path}: expected a JSON object")
     for name, entry in doc.items():

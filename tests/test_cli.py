@@ -17,9 +17,12 @@ from lexstable import lexicon as lexicon_module
 from lexstable import synth as synth_module
 from lexstable.cli import main
 from lexstable.errors import PlanError
-from lexstable.ingest import Message, read_corpus, write_corpus
-from lexstable.lexicon import tokenize, write_lexicon
+from lexstable.ingest import Message, build_author_corpora, read_corpus, write_corpus
+from lexstable.lexicon import load_lexicon, score_features, tokenize, write_lexicon
+from lexstable.report import fmt, write_comparison_csv
+from lexstable.stats import PopulationStats, compare_media, save_stats_json
 from lexstable.synth import SyntheticSpec, generate_population
+from lexstable.traits import infer_traits, load_trait_model
 
 from conftest import cli_peak_mb, data_path, fixture_path
 
@@ -342,6 +345,29 @@ def test_stats_that_cannot_be_built_write_nothing(tmp_path, capsys, command, nam
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", ["missing/x", "is-a-directory"])
+@pytest.mark.parametrize("command, flag", [("score", "--stats-out"), ("traits", "--stats-out"),
+                                           ("compare", "--svg"), ("stability", "--svg"),
+                                           ("synth", "--lexicon-out")])
+def test_a_bad_second_output_path_writes_no_file(tmp_path, synth_files, capsys, command, flag, bad):
+    corpus, lexicon = synth_files
+    model = tmp_path / "m.model"
+    model.write_text("model m\ntrait t intercept=0\n\tcat01 1.0\n")
+    (tmp_path / "is-a-directory").mkdir()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {
+        "score": ["--corpus", corpus, "--lexicon", lexicon],
+        "traits": ["--corpus", corpus, "--lexicon", lexicon, "--model", model],
+        "compare": ["--corpus-a", corpus, "--corpus-b", corpus, "--lexicon", lexicon],
+        "stability": ["--corpus", corpus, "--lexicon", lexicon, "--base", 20, "--sizes", "5,10"],
+        "synth": ["--authors", 2, "--messages", 5],
+    }[command]
+    assert run(*map(str, [command, *argv, "--out", out_dir / "out.csv", flag, tmp_path / bad])) == 1
+    assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
+    assert capsys.readouterr().err.startswith(f"error: {flag} {tmp_path / bad}: ")
+
+
 # author "a" has exactly 5 tokens in 2 messages; "b" and "c" have 6 and 7 in 3
 _FEW_WORDS = {"a": ["i am happy", "me too"], "b": ["i am so", "happy", "today friend"],
               "c": ["me me happy", "happier sad", "day night"]}
@@ -370,6 +396,56 @@ def test_min_words_keeps_an_author_with_exactly_that_many_tokens(tmp_path, comma
     assert with_a == output(full, "--min-words", 5) == output(full, "--min-messages", 2)
     assert with_a != output(without_a, "--min-words", 0) == output(full, "--min-words", 6) \
         == output(full, "--min-messages", 3)
+
+
+def test_scoring_commands_write_what_the_per_author_api_gives(tmp_path):
+    # weight lines out of lexicon order, and a --min-words that drops authors on both sides
+    for side, seed in (("a", 5), ("b", 6)):
+        assert run("synth", "--authors", "9", "--messages", "12", "--seed", str(seed), "--categories", "4",
+                   "--out", str(tmp_path / f"{side}.jsonl"), "--lexicon-out", str(tmp_path / "l.dic")) == 0
+    model_path = tmp_path / "m.model"
+    model_path.write_text("model m\ntrait t2 intercept=-1.25\n\tcat04 0.3\n\tcat02 1.5\n\tcat01 0.1\n"
+                          "trait t1 intercept=0.5\n\tcat03 0.7\n\tcat01 -0.2\n")
+    lexicon, model = load_lexicon(tmp_path / "l.dic"), load_trait_model(model_path)
+    scored = {side: [(c, score_features(c.messages, lexicon))
+                     for c in build_author_corpora(read_corpus(tmp_path / f"{side}.jsonl").messages)]
+              for side in ("a", "b")}
+    min_words = sorted(fv.total_tokens for authors in scored.values() for _, fv in authors)[6]
+    kept = {side: [(c, fv) for c, fv in authors if fv.total_tokens >= min_words]
+            for side, authors in scored.items()}
+    assert all(2 <= len(kept[side]) < len(scored[side]) for side in kept)
+    expected = {}
+    for side, authors in kept.items():
+        frequencies = [[fv.frequencies[cid] for cid in lexicon.category_ids] for _, fv in authors]
+        traits = [[infer_traits(fv, model, lexicon).values[name] for name in model.trait_names]
+                  for _, fv in authors]
+        for command, names, values in (("score", lexicon.category_names, frequencies),
+                                       ("traits", model.trait_names, traits)):
+            counts = command == "score"
+            expected[command, side] = [["author_id", "medium"] + ["messages", "tokens"] * counts + list(names)] + [
+                [c.author_id, c.medium] + [str(c.total_messages), str(fv.total_tokens)] * counts + list(map(fmt, row))
+                for (c, fv), row in zip(authors, values)]
+            expected[command, side, "columns"] = {name: [row[j] for row in values] for j, name in enumerate(names)}
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    common = ["--lexicon", tmp_path / "l.dic", "--min-words", min_words]
+    for command, model_flags in (("score", []), ("traits", ["--model", model_path])):
+        for side in ("a", "b"):
+            out = tmp_path / f"{command}-{side}"
+            out.mkdir()
+            assert run(*map(str, [command, "--corpus", tmp_path / f"{side}.jsonl", *common, *model_flags,
+                                  "--out", out / "out.csv", "--stats-out", out / "stats.json"])) == 0
+            with open(out / "out.csv", newline="") as fh:
+                assert list(csv.reader(fh)) == expected[command, side]
+            save_stats_json(PopulationStats(expected[command, side, "columns"]), reference / "stats.json")
+            assert (out / "stats.json").read_bytes() == (reference / "stats.json").read_bytes()
+        out = tmp_path / f"compare-{command}"
+        out.mkdir()
+        assert run(*map(str, ["compare", "--corpus-a", tmp_path / "a.jsonl", "--corpus-b", tmp_path / "b.jsonl",
+                              *common, *model_flags, "--out", out / "out.csv"])) == 0
+        write_comparison_csv(compare_media(expected[command, "a", "columns"], expected[command, "b", "columns"]),
+                             reference / "compare.csv")
+        assert (out / "out.csv").read_bytes() == (reference / "compare.csv").read_bytes()
 
 
 def test_renorm_holds_at_any_finite_scale(tmp_path, capsys):
@@ -415,6 +491,11 @@ def test_renorm_command(tmp_path, capsys, monkeypatch):
                "--trait", "t", "--value", "1.0")
     assert code == 1
     assert capsys.readouterr().out == ""
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    code = run("renorm", "--from-stats", "deep.json", "--to-stats", "b.json",
+               "--trait", "t", "--value", "1.0")
+    assert code == 1
+    assert capsys.readouterr().err == "error: stats file deep.json: JSON nested too deep\n"
     assert not (tmp_path / "run_manifest.json").exists()  # renorm writes no file
 
 
@@ -454,12 +535,19 @@ def test_ingest_keeps_the_good_records_beside_a_lone_surrogate(tmp_path, capsys)
 _SCIPY_PROBE = textwrap.dedent("""
     import csv
     import sys
+    from pathlib import Path
     from lexstable.cli import main
-    from conftest import data_path
 
+    data = Path(sys.modules["lexstable"].__file__).parent / "data"  # not conftest: hypothesis loads decimal
+
+    # xml pulls in urllib.request; decimal and the t tail are for compare's
+    # p-values alone, so compare runs last
     def run(*argv):
         assert main([str(a) for a in argv]) == 0, argv
-        assert "scipy" not in sys.modules, argv[0]
+        unwanted = {"scipy", "xml", "urllib.request"}
+        if argv[0] != "compare":
+            unwanted |= {"decimal", "lexstable.tdist"}
+        assert unwanted.isdisjoint(sys.modules), (argv[0], sorted(unwanted.intersection(sys.modules)))
 
     d = sys.argv[1]
     run("synth", "--authors", 4, "--messages", 20, "--seed", 1, "--categories", 3,
@@ -469,8 +557,8 @@ _SCIPY_PROBE = textwrap.dedent("""
     run("ingest", "--input", f"{d}/c.jsonl", "--format", "generic-jsonl", "--out", f"{d}/i.jsonl")
     run("score", "--corpus", f"{d}/i.jsonl", "--lexicon", f"{d}/l.dic",
         "--out", f"{d}/s.csv", "--stats-out", f"{d}/s.json")
-    run("traits", "--corpus", f"{d}/i.jsonl", "--lexicon", data_path("demo.dic"),
-        "--model", data_path("toy_big5.model"), "--out", f"{d}/t.csv")
+    run("traits", "--corpus", f"{d}/i.jsonl", "--lexicon", data / "demo.dic",
+        "--model", data / "toy_big5.model", "--out", f"{d}/t.csv")
     run("stability", "--corpus", f"{d}/c.jsonl", "--lexicon", f"{d}/l.dic",
         "--base", 20, "--sizes", "5,10", "--out", f"{d}/curves.csv")
     run("renorm", "--from-stats", f"{d}/s.json", "--to-stats", f"{d}/s.json",
@@ -482,6 +570,7 @@ _SCIPY_PROBE = textwrap.dedent("""
             "--lexicon", f"{d}/l.dic", *model_flags, "--out", f"{d}/cmp.csv")
         with open(f"{d}/cmp.csv", newline="") as fh:  # a p-value below 1 went through the t tail
             assert any(float(row["p_value"]) < 1.0 for row in csv.DictReader(fh)), model_flags
+    assert {"decimal", "lexstable.tdist"}.issubset(sys.modules)
 """)
 
 

@@ -94,6 +94,12 @@ def test_entry_order_does_not_matter(toy):
     assert parse_lexicon(shuffled) == toy
 
 
+def test_entry_words_fold_the_curly_apostrophe_as_tokens_do():
+    lex = parse_lexicon(["%", "1\tneg", "%", "don\u2019t\t1", "can\u2019*\t1"])
+    assert lex.exact == {"don't": frozenset({1})} and lex.prefixes == {"can'": frozenset({1})}
+    assert score_features(["don't don\u2019t", "can't can\u2019t"], lex).counts == {1: 4}
+
+
 def test_duplicate_entries_merge_category_sets():
     lex = parse_lexicon(["%", "1\ta", "2\tb", "%", "x\t1", "x\t2", "pre*\t1", "pre*\t2"])
     assert lex.exact["x"] == frozenset({1, 2})

@@ -105,6 +105,7 @@ def test_stats_json_roundtrip(tmp_path):
     '{"t": {"n": true, "mean": 0.0, "sd": 1.0}}',
     '{"t": [5, 0.0, 1.0]}',
     '[1, 2]',
+    pytest.param("[" * 200_000 + "]" * 200_000, id="nested-too-deep"),
 ])
 def test_stats_json_rejects_non_finite_or_non_numeric_entries(tmp_path, text):
     path = tmp_path / "stats.json"
