@@ -3,9 +3,9 @@
 Subcommands: ingest, score, traits, compare, stability, renorm, synth.
 Exit codes: 0 success, 2 usage/validation error, 1 runtime error. Given
 the same inputs and seed, every run writes byte-identical output files.
-Each command that writes a file also writes a ``run_manifest.json``
-capturing the resolved configuration and content digests of the input
-files next to its primary output; ``renorm`` writes neither.
+Every command with ``--out`` also writes, last, a ``run_manifest.json``
+with the resolved flags and content digests of the input files beside
+that output; ``renorm`` writes neither. ``main`` owns both steps.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -47,15 +48,23 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(command: str, args: argparse.Namespace, inputs, primary_out) -> None:
+_INPUTS = ("input", "corpus", "corpus_a", "corpus_b", "lexicon", "model", "from_stats", "to_stats")
+_OUTPUTS = ("out", "svg", "stats_out", "lexicon_out")
+
+
+def _flag_paths(args, keys) -> list[tuple[str, Path]]:
+    return [("--" + k.replace("_", "-"), Path(p)) for k in keys if (p := getattr(args, k, None)) is not None]
+
+
+def _write_manifest(args: argparse.Namespace) -> None:
     flags = {key: value for key, value in sorted(vars(args).items()) if key not in ("func", "command")}
     doc = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "flags": flags,
-        "input_digests": {str(p): _sha256(p) for p in sorted(str(i) for i in inputs)},
+        "input_digests": {p: _sha256(p) for p in sorted(flags[k] for k in _INPUTS if flags.get(k) is not None)},
     }
-    with atomic_write(Path(primary_out).parent / "run_manifest.json") as fh:
+    with atomic_write(Path(args.out).parent / "run_manifest.json") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -105,7 +114,7 @@ def _score_authors(corpora, lexicon, model, args):
     return list(model.trait_names), authors, project(values, W, b)
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> None:
     with open(args.input, "rb") as fh:
         result = parse_messages(fh, args.format, args.medium)
     write_corpus(result.messages, args.out)
@@ -114,11 +123,9 @@ def cmd_ingest(args) -> int:
         f"skipped {result.skipped} malformed, filtered {result.filtered}",
         file=sys.stderr,
     )
-    _write_manifest("ingest", args, [args.input], args.out)
-    return 0
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     """``score`` (category frequencies, message and token counts) or
     ``traits`` (a model's trait values): one row per author with tokens."""
     lexicon = load_lexicon(args.lexicon)
@@ -136,12 +143,9 @@ def cmd_score(args) -> int:
         )
     if stats is not None:
         save_stats_json(stats, args.stats_out)
-    inputs = [args.corpus, args.lexicon] + ([args.model] if model else [])
-    _write_manifest(args.command, args, inputs, args.out)
-    return 0
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
     tables = []
@@ -152,12 +156,9 @@ def cmd_compare(args) -> int:
     write_comparison_csv(rows, args.out)
     if args.svg:
         write_svg(comparison_svg(rows, baseline=args.baseline), args.svg)
-    inputs = [args.corpus_a, args.corpus_b, args.lexicon] + ([args.model] if args.model else [])
-    _write_manifest("compare", args, inputs, args.out)
-    return 0
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> None:
     modes = MODES if args.mode == "both" else (args.mode,)
     plan = SubsamplePlan(
         unit=args.unit, mode=modes[0], base_size=args.base,
@@ -169,12 +170,9 @@ def cmd_stability(args) -> int:
     write_curves_csv(curves, args.out)
     if args.svg:
         write_svg(curves_svg(curves), args.svg)
-    inputs = [args.corpus, args.lexicon] + ([args.model] if args.model else [])
-    _write_manifest("stability", args, inputs, args.out)
-    return 0
 
 
-def cmd_renorm(args) -> int:
+def cmd_renorm(args) -> None:
     src = load_stats_json(args.from_stats)
     dst = load_stats_json(args.to_stats)
     for label, doc in (("from", src), ("to", dst)):
@@ -186,10 +184,9 @@ def cmd_renorm(args) -> int:
         (dst[args.trait]["mean"], dst[args.trait]["sd"]),
     )
     print(fmt(mapped))
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     spec = SyntheticSpec(
         n_categories=args.categories,
         vocab_per_category=args.vocab_per_category,
@@ -207,8 +204,6 @@ def cmd_synth(args) -> int:
             n_messages += corpus.total_messages
     write_lexicon(companion_lexicon(spec), args.lexicon_out)
     print(f"generated {n_messages} message(s) for {args.authors} author(s)", file=sys.stderr)
-    _write_manifest("synth", args, [], args.out)
-    return 0
 
 
 def _finite_float(text: str) -> float:
@@ -336,19 +331,21 @@ _DEFAULT_MEDIUM = {"tweets-jsonl": "twitter", "mbox": "email", "generic-jsonl": 
 
 
 def _check_outputs(args) -> None:
-    """Raise LexstableError naming the first output flag whose path
-    cannot take a file: its parent is not an existing directory, or it
-    is a directory. Run before any input is read, so such a run writes
-    none of its outputs."""
-    for key in ("out", "svg", "stats_out", "lexicon_out"):
-        path = getattr(args, key, None)
-        if path is None:
-            continue
-        flag, path = "--" + key.replace("_", "-"), Path(path)
+    """Raise LexstableError naming the first output (``run_manifest.json`` last) whose
+    parent is not a directory, that is a directory, or that is the same file as an input
+    or an earlier output, named too. Run before any input is read, so it writes nothing."""
+    outputs = _flag_paths(args, _OUTPUTS)
+    if hasattr(args, "out"):
+        outputs.append(("run_manifest.json", Path(args.out).parent / "run_manifest.json"))
+    seen = {os.path.realpath(path): flag for flag, path in _flag_paths(args, _INPUTS)}
+    for flag, path in outputs:
         if not path.parent.is_dir():
             raise LexstableError(f"{flag} {path}: {path.parent} is not an existing directory")
         if path.is_dir():
             raise LexstableError(f"{flag} {path}: is a directory")
+        other = seen.setdefault(os.path.realpath(path), flag)  # unlike Path.resolve, no error on a symlink loop
+        if other != flag:
+            raise LexstableError(f"{flag} {path}: names the same file as {other}")
 
 
 def main(argv=None) -> int:
@@ -361,13 +358,16 @@ def main(argv=None) -> int:
         args.medium = _DEFAULT_MEDIUM[args.format]
     try:
         _check_outputs(args)
-        return args.func(args)
+        args.func(args)
+        if hasattr(args, "out"):
+            _write_manifest(args)  # after every output, so a run that fails records none
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LexstableError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

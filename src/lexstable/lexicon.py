@@ -149,7 +149,7 @@ def load_lexicon(path) -> Lexicon:
     """Load and validate a dictionary file. Raises LexiconError with the
     offending line number on duplicate ids/names, references to
     undeclared categories, or empty words."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         lines = fh.read().splitlines()
     return parse_lexicon(lines, source=path)
 

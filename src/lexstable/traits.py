@@ -55,7 +55,7 @@ def _err(source, line_no: int, msg: str) -> ModelError:
 
 
 def load_trait_model(path) -> TraitModel:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return parse_trait_model(fh.read().splitlines(), source=path)
 
 
@@ -130,7 +130,9 @@ def weight_matrix(model: TraitModel, lexicon: Lexicon):
     columns in model order and rows in lexicon category order.
 
     Raises ModelError listing every weight category the lexicon does not
-    declare.
+    declare, or naming the first trait whose value can overflow:
+    frequencies lie in [0, 100], so every value is finite when
+    ``|intercept| + 100 * sum(|weight|)`` is.
     """
     name_to_id = lexicon.name_to_id
     missing = sorted({
@@ -141,6 +143,12 @@ def weight_matrix(model: TraitModel, lexicon: Lexicon):
             f"model {model.model_name!r} references categories absent from the "
             f"lexicon: {', '.join(missing)}"
         )
+    for spec in model.traits:
+        if not math.isfinite(abs(spec.intercept) + 100 * sum(abs(w) for w in spec.weights.values())):
+            raise ModelError(
+                f"model {model.model_name!r} trait {spec.trait_name!r}: weights so large "
+                f"that a value can overflow"
+            )
     row_of = {cid: k for k, cid in enumerate(lexicon.category_ids)}
     W = np.zeros((len(row_of), len(model.traits)))
     b = np.zeros(len(model.traits))

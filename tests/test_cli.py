@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import itertools
@@ -13,9 +14,10 @@ from datetime import datetime, timezone
 
 import pytest
 
+from lexstable import cli as cli_module
 from lexstable import lexicon as lexicon_module
 from lexstable import synth as synth_module
-from lexstable.cli import main
+from lexstable.cli import build_parser, main
 from lexstable.errors import PlanError
 from lexstable.ingest import Message, build_author_corpora, read_corpus, write_corpus
 from lexstable.lexicon import load_lexicon, score_features, tokenize, write_lexicon
@@ -366,6 +368,76 @@ def test_a_bad_second_output_path_writes_no_file(tmp_path, synth_files, capsys, 
     assert run(*map(str, [command, *argv, "--out", out_dir / "out.csv", flag, tmp_path / bad])) == 1
     assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
     assert capsys.readouterr().err.startswith(f"error: {flag} {tmp_path / bad}: ")
+
+
+def _tree(root):
+    return {path: path.is_file() and path.read_bytes() for path in sorted(root.rglob("*"))}
+
+
+_SCORE = ["score", "--corpus", "corp.jsonl", "--lexicon", "synth.dic"]
+_SYNTH = ["synth", "--authors", "2", "--messages", "5"]
+
+
+@pytest.mark.parametrize("argv, flag, other, dirs", [
+    (_SCORE + ["--out", "corp.jsonl"], "--out", "--corpus", ["d"]),
+    (_SCORE + ["--out", "./corp.jsonl"], "--out", "--corpus", ["d"]),
+    (_SCORE + ["--out", "link.jsonl"], "--out", "--corpus", ["d"]),
+    (["compare", "--corpus-a", "corp.jsonl", "--corpus-b", "corp.jsonl", "--lexicon", "synth.dic",
+      "--out", "d/x", "--svg", "d/x"], "--svg", "--out", ["d"]),
+    (_SCORE + ["--out", "d/x", "--stats-out", "d/x"], "--stats-out", "--out", ["d"]),
+    (_SYNTH + ["--out", "d/x", "--lexicon-out", "d/x"], "--lexicon-out", "--out", ["d"]),
+    (_SCORE + ["--out", "d/run_manifest.json"], "run_manifest.json", "--out", ["d"]),
+    (_SYNTH + ["--out", "d/c.jsonl", "--lexicon-out", "d/l.dic"], "run_manifest.json", "is a directory",
+     ["d", "d/run_manifest.json"]),
+], ids=["out-is-corpus", "out-is-corpus-through-dot", "out-is-corpus-through-symlink", "svg-is-out",
+        "stats-out-is-out", "lexicon-out-is-out", "out-is-the-manifest", "manifest-is-a-directory"])
+def test_an_output_naming_an_input_or_another_output_writes_no_file(
+        tmp_path, synth_files, monkeypatch, capsys, argv, flag, other, dirs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.jsonl").symlink_to("corp.jsonl")
+    for d in dirs:
+        (tmp_path / d).mkdir()
+    before = _tree(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and other in err
+    assert _tree(tmp_path) == before  # inputs unchanged, no file added
+
+
+def test_an_output_at_a_symlink_loop_replaces_the_link(tmp_path, synth_files):
+    corpus, lexicon = synth_files
+    (tmp_path / "loop1").symlink_to("loop2")
+    (tmp_path / "loop2").symlink_to("loop1")
+    assert run("score", "--corpus", str(corpus), "--lexicon", str(lexicon), "--out", str(tmp_path / "loop1")) == 0
+    assert (tmp_path / "loop1").read_text().startswith("author_id,medium,messages,tokens,")
+
+
+def test_every_flag_that_names_a_file_is_checked():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for parser in sub.choices.values() for action in parser._actions}
+    names_a_file = {d for d in dests if d in ("out", "svg", "input", "lexicon", "model")
+                    or d.endswith("_out") or d.startswith("corpus") or d.endswith("_stats")}
+    listed = set(cli_module._INPUTS + cli_module._OUTPUTS)
+    assert names_a_file - listed == set()  # a new file flag that skips the path checks
+    assert listed - dests == set()  # a listed dest that no subcommand has
+
+
+@pytest.mark.parametrize("command", ["traits", "compare", "stability"])
+def test_a_model_whose_values_can_overflow_writes_no_file(tmp_path, synth_files, capsys, command):
+    corpus, lexicon = synth_files
+    model = tmp_path / "m.model"
+    model.write_text("model m\ntrait t intercept=0\n\tcat01 1e307\n")  # 100 * 1e307 overflows
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {
+        "traits": ["--corpus", corpus, "--stats-out", out_dir / "stats.json"],
+        "compare": ["--corpus-a", corpus, "--corpus-b", corpus, "--svg", out_dir / "out.svg"],
+        "stability": ["--corpus", corpus, "--base", 20, "--sizes", "5,10", "--svg", out_dir / "out.svg"],
+    }[command]
+    assert run(*map(str, [command, *argv, "--lexicon", lexicon, "--model", model,
+                          "--out", out_dir / "out.csv"])) == 1
+    assert "model 'm' trait 't': weights so large that a value can overflow" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 # author "a" has exactly 5 tokens in 2 messages; "b" and "c" have 6 and 7 in 3

@@ -66,6 +66,12 @@ def test_load_bundled_toy():
     assert len(lex.exact) == 2 and len(lex.prefixes) == 1
 
 
+def test_a_leading_bom_is_dropped(tmp_path):
+    path = tmp_path / "toy.dic"
+    path.write_bytes(b"\xef\xbb\xbf" + data_path("toy.dic").read_bytes())
+    assert load_lexicon(path) == load_lexicon(data_path("toy.dic"))
+
+
 def test_undeclared_category_reference_names_line():
     lines = TOY_LINES + ["oops\t9"]
     with pytest.raises(LexiconError) as err:

@@ -32,6 +32,12 @@ def test_load_bundled_toy_model():
     )
 
 
+def test_a_leading_bom_is_dropped(tmp_path):
+    path = tmp_path / "toy_big5.model"
+    path.write_bytes(b"\xef\xbb\xbf" + data_path("toy_big5.model").read_bytes())
+    assert load_trait_model(path) == load_trait_model(data_path("toy_big5.model"))
+
+
 def test_duplicate_trait_rejected():
     with pytest.raises(ModelError, match="duplicate trait"):
         parse_trait_model([
