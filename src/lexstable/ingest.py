@@ -6,7 +6,8 @@ Canonical corpus files are JSON lines, one object per message with keys
 suffix), ``medium`` and ``text``, sorted by (author_id, timestamp).
 Text is stored cleaned, so reading a corpus takes it verbatim. Each
 author's lines are one contiguous run, so ``iter_authors`` can read the
-file one author at a time.
+file one author at a time, and ``split_corpus`` can cut it into byte
+ranges at author changes that are read apart.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import email
 import email.utils
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -414,7 +416,74 @@ def read_corpus(path) -> ParseResult:
     return result
 
 
-def iter_authors(path, tally: ParseResult) -> Iterator[list[Message]]:
+@dataclass(frozen=True)
+class Shard:
+    """A byte range of a canonical corpus, cut where the author changes:
+    ``start`` and ``stop`` are line starts (``stop`` None runs to the end
+    of the file), and ``after`` is the author_id of the last message the
+    reader yields before ``start`` (None for the first range)."""
+
+    start: int = 0
+    stop: int | None = None
+    after: str | None = None
+
+
+def _author_change(fh, at: int) -> tuple[int, str] | None:
+    """The first line start past byte ``at`` (``at`` itself when a line
+    starts there) where the author of the messages the reader yields
+    changes, and the author before it; None if it does not change again.
+    Lines are read by the reader's rules, so a skipped record never
+    marks a change."""
+    fh.seek(max(at - 1, 0))
+    if at:
+        fh.readline()  # the rest of the line holding byte at - 1
+    here = start = fh.tell()
+
+    def lines():
+        nonlocal here, start
+        for line in fh:
+            start, here = here, here + len(line)
+            yield line
+
+    author = None
+    for msg in _parse_jsonl(lines(), "other", _canonical_record, ParseResult()):
+        if author is None:
+            author = msg.author_id
+        elif msg.author_id != author:
+            return start, author
+    return None
+
+
+def split_corpus(path, shards: int) -> list[Shard]:
+    """Cut a canonical corpus into at most ``shards`` byte ranges of about
+    equal size, each cut where the author of the messages the reader
+    yields changes, so that one author's lines never span two ranges.
+    Reading the ranges in order with ``iter_authors`` yields the authors,
+    tallies and order errors that one read of the whole file does. An
+    author run longer than a range merges ranges; ``shards`` of 1 or less
+    is the whole file, which is then not opened."""
+    if shards <= 1:
+        return [Shard()]
+    size = os.path.getsize(path)
+    cuts: dict[int, str] = {}
+    with open(path, "rb") as fh:
+        for i in range(1, shards):
+            if (cut := _author_change(fh, size * i // shards)) is not None:
+                cuts.setdefault(*cut)
+    bounds = [0, *sorted(cuts), None]
+    return [Shard(lo, hi, cuts.get(lo)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _upto(lines, size: int):
+    """The lines of ``lines`` that start in its first ``size`` bytes."""
+    for line in lines:
+        if size <= 0:
+            return
+        size -= len(line)
+        yield line
+
+
+def iter_authors(path, tally: ParseResult, shard: Shard = Shard()) -> Iterator[list[Message]]:
     """Read a canonical corpus one author at a time: yield each author's
     messages, in file order, as one list, and keep none of them once the
     next author starts.
@@ -424,19 +493,31 @@ def iter_authors(path, tally: ParseResult) -> Iterator[list[Message]]:
     previous author's raises CorpusOrderError naming the file and line.
     Timestamps need no order within an author. Records are read, and
     drops counted in ``tally``, exactly as ``read_corpus`` does.
+
+    ``shard``, one of ``split_corpus``'s ranges, reads only that range.
+    Its first author is checked against the author before the cut, and
+    an order error names the line's number in the whole file; ``tally``
+    counts the range's own lines.
     """
     run: list[Message] = []
+    author = shard.after
     with open(path, "rb") as fh:
-        for msg in _parse_jsonl(fh, "other", _canonical_record, tally):
-            if run and msg.author_id != run[0].author_id:
-                if msg.author_id < run[0].author_id:
+        fh.seek(shard.start)
+        lines = fh if shard.stop is None else _upto(fh, shard.stop - shard.start)
+        for msg in _parse_jsonl(lines, "other", _canonical_record, tally):
+            if msg.author_id != author:
+                if author is not None and msg.author_id < author:
+                    fh.seek(0)
+                    line = fh.read(shard.start).count(b"\n") + tally.lines
                     raise CorpusOrderError(
-                        f"{path}:{tally.lines}: author_id {msg.author_id!r} sorts below the "
-                        f"previous author {run[0].author_id!r}; corpus lines must be grouped "
+                        f"{path}:{line}: author_id {msg.author_id!r} sorts below the "
+                        f"previous author {author!r}; corpus lines must be grouped "
                         "by ascending author_id"
                     )
-                yield run
-                run = []
+                if run:
+                    yield run
+                    run = []
+                author = msg.author_id
             run.append(msg)
     if run:
         yield run

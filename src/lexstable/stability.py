@@ -23,7 +23,9 @@ values, not with messages or categories.
 Curves are then built one (size, mode) at a time, in (author_id,
 medium) order: each trait column is ranked against the full samples'
 ladder with one call, the points are aggregated at once, and those
-values are dropped.
+values are dropped. ``StabilityExperiment`` keeps the two steps apart:
+an author's observation depends on that author and the plan alone, so
+authors can be observed in any order and in other processes.
 
 Subsample seeds are derived as
 derive_seed(derive_seed(master_seed, author_id), size, index), so runs
@@ -265,6 +267,99 @@ def _subsample_frequencies(counts: np.ndarray, words: np.ndarray, picks: list[np
     return 100.0 * sums[keep] / tokens[keep, None]
 
 
+class StabilityExperiment:
+    """One plan's stability experiment as two steps: ``observe`` each
+    author on its own, in any order and in any process, then build the
+    ``curves`` of all the observations. ``run_stability`` runs both in
+    one process; the CLI observes a large corpus's authors in worker
+    processes. ``modes`` defaults to ``(plan.mode,)``."""
+
+    def __init__(
+        self,
+        plan: SubsamplePlan,
+        lexicon: Lexicon,
+        model: TraitModel | None = None,
+        modes: Sequence[str] | None = None,
+    ):
+        modes = (plan.mode,) if modes is None else tuple(modes)
+        if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
+            raise PlanError(f"modes must be distinct values from {MODES}")
+        self.plan, self.lexicon, self.modes = plan, lexicon, modes
+        if model is not None:
+            self.W, self.b = weight_matrix(model, lexicon)
+            self.names = list(model.trait_names)
+        else:
+            self.W, self.b = None, None
+            self.names = list(lexicon.category_names)
+
+    def observe(self, corpus: AuthorCorpus) -> tuple[tuple[str, str], np.ndarray, dict] | None:
+        """One author's (author_id, medium), full-sample values and
+        subsample values per (size, mode); None if it is not eligible."""
+        plan, lexicon, W, b = self.plan, self.lexicon, self.W, self.b
+        try:
+            if plan.unit == "messages":  # slice first: later messages are never tokenized
+                msgs = full_sample(corpus, plan)
+                counts, words = count_matrix(msgs, lexicon)
+                weights = _unit_weights(msgs, plan.unit)
+            else:
+                counts, words = count_matrix(corpus.messages, lexicon)
+                full = _full_range(words, plan, corpus.author_id)
+                counts, words = counts[full], words[full]
+                weights = words
+        except IneligibleAuthorError:
+            return None
+        total = int(words.sum())
+        if total == 0:
+            return None
+        seed = derive_seed(plan.master_seed, corpus.author_id)
+        store = {}
+        for size in plan.sizes:
+            for mode, picks in _subsample_picks(weights, plan.base_size, size, seed, self.modes).items():
+                store[size, mode] = _author_values(_subsample_frequencies(counts, words, picks), W, b)
+        full_values = _author_values(100.0 * counts.sum(axis=0) / total, W, b)
+        return (corpus.author_id, corpus.medium), full_values, store
+
+    def curves(self, observations: Iterable) -> list[StabilityCurve]:
+        """The curves of ``observe``'s results, Nones included, in any
+        order: ranked in (author_id, medium) order, a stable sort."""
+        names, modes, plan = self.names, self.modes, self.plan
+        observed = sorted((o for o in observations if o is not None), key=itemgetter(0))
+        if len(observed) < 2:
+            raise StatsError(
+                f"{len(observed)} eligible author(s); at least 2 are required to "
+                "build a population ladder"
+            )
+
+        full = np.array([values for _, values, _ in observed])
+        stores = [store for _, _, store in observed]
+        ladder = PopulationStats({name: full[:, j] for j, name in enumerate(names)})
+        full_ranks = [ladder.percentile_ranks(name, full[:, j]) for j, name in enumerate(names)]
+
+        curves = {(name, mode): StabilityCurve(name, mode, plan.unit, []) for name in names for mode in modes}
+        for size in plan.sizes:
+            for mode in sorted(modes):
+                rows = [store[size, mode].shape[0] for store in stores]
+                owner = np.repeat(np.arange(len(rows)), rows)
+                if owner.size == 0:
+                    raise StatsError(f"no usable observations at size {size}")
+                sub = np.empty((owner.size, len(names)))
+                for store, stop, n in zip(stores, np.cumsum(rows).tolist(), rows):
+                    sub[stop - n:stop] = store.pop((size, mode))  # freed once copied: never held twice
+                for j, name in enumerate(names):
+                    obs = np.abs(ladder.percentile_ranks(name, sub[:, j]) - full_ranks[j][owner])
+                    mean = float(obs.mean())
+                    sd = float(obs.std(ddof=1)) if obs.size > 1 else 0.0
+                    curves[name, mode].points.append(VariabilityPoint(
+                        size=size,
+                        n_observations=int(obs.size),
+                        mean_variability=mean,
+                        sd_variability=sd,
+                        p95_empirical=float(np.percentile(obs, 95.0)),
+                        p95_parametric=mean + 1.645 * sd,
+                    ))
+        return [curves[key] for key in sorted(curves)]
+
+
 def run_stability(
     corpora: Iterable[AuthorCorpus],
     plan: SubsamplePlan,
@@ -294,77 +389,8 @@ def run_stability(
     samples plus one per (size, mode, trait), each across all authors;
     each (size, mode)'s values are dropped once ranked.
     """
-    modes = (plan.mode,) if modes is None else tuple(modes)
-    if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
-        raise PlanError(f"modes must be distinct values from {MODES}")
-    if model is not None:
-        W, b = weight_matrix(model, lexicon)
-        names = list(model.trait_names)
-    else:
-        W, b = None, None
-        names = list(lexicon.category_names)
-
-    def observe(corpus: AuthorCorpus) -> tuple[tuple[str, str], np.ndarray, dict] | None:
-        """One author's (author_id, medium), full-sample values and
-        subsample values per (size, mode); None if it is not eligible."""
-        try:
-            if plan.unit == "messages":  # slice first: later messages are never tokenized
-                msgs = full_sample(corpus, plan)
-                counts, words = count_matrix(msgs, lexicon)
-                weights = _unit_weights(msgs, plan.unit)
-            else:
-                counts, words = count_matrix(corpus.messages, lexicon)
-                full = _full_range(words, plan, corpus.author_id)
-                counts, words = counts[full], words[full]
-                weights = words
-        except IneligibleAuthorError:
-            return None
-        total = int(words.sum())
-        if total == 0:
-            return None
-        seed = derive_seed(plan.master_seed, corpus.author_id)
-        store = {}
-        for size in plan.sizes:
-            for mode, picks in _subsample_picks(weights, plan.base_size, size, seed, modes).items():
-                store[size, mode] = _author_values(_subsample_frequencies(counts, words, picks), W, b)
-        full_values = _author_values(100.0 * counts.sum(axis=0) / total, W, b)
-        return (corpus.author_id, corpus.medium), full_values, store
-
-    observed = sorted((o for c in corpora if (o := observe(c)) is not None), key=itemgetter(0))
-    if len(observed) < 2:
-        raise StatsError(
-            f"{len(observed)} eligible author(s); at least 2 are required to "
-            "build a population ladder"
-        )
-
-    full = np.array([values for _, values, _ in observed])
-    stores = [store for _, _, store in observed]
-    ladder = PopulationStats({name: full[:, j] for j, name in enumerate(names)})
-    full_ranks = [ladder.percentile_ranks(name, full[:, j]) for j, name in enumerate(names)]
-
-    curves = {(name, mode): StabilityCurve(name, mode, plan.unit, []) for name in names for mode in modes}
-    for size in plan.sizes:
-        for mode in sorted(modes):
-            rows = [store[size, mode].shape[0] for store in stores]
-            owner = np.repeat(np.arange(len(rows)), rows)
-            if owner.size == 0:
-                raise StatsError(f"no usable observations at size {size}")
-            sub = np.empty((owner.size, len(names)))
-            for store, stop, n in zip(stores, np.cumsum(rows).tolist(), rows):
-                sub[stop - n:stop] = store.pop((size, mode))  # freed once copied: never held twice
-            for j, name in enumerate(names):
-                obs = np.abs(ladder.percentile_ranks(name, sub[:, j]) - full_ranks[j][owner])
-                mean = float(obs.mean())
-                sd = float(obs.std(ddof=1)) if obs.size > 1 else 0.0
-                curves[name, mode].points.append(VariabilityPoint(
-                    size=size,
-                    n_observations=int(obs.size),
-                    mean_variability=mean,
-                    sd_variability=sd,
-                    p95_empirical=float(np.percentile(obs, 95.0)),
-                    p95_parametric=mean + 1.645 * sd,
-                ))
-    return [curves[key] for key in sorted(curves)]
+    experiment = StabilityExperiment(plan, lexicon, model, modes)
+    return experiment.curves(map(experiment.observe, corpora))
 
 
 def run_stability_modes(

@@ -33,21 +33,26 @@ def fixture_path(name: str) -> pathlib.Path:
 
 # The child reads its own peak RSS just before it exits. Its ru_maxrss
 # would not do: on Linux that starts from the size of the process that
-# spawned it, here the whole test session.
-_PEAK_CHILD = """import sys
+# spawned it, here the whole test session. A command that forks workers
+# has reaped them when main returns, so RUSAGE_CHILDREN holds the
+# largest worker's peak, and the larger of the two is the command's.
+_PEAK_CHILD = """import resource
+import sys
 from lexstable.cli import main
 code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
-    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1], file=sys.stderr)
+    own = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss), file=sys.stderr)
 sys.exit(code)
 """
 
 
 def cli_peak_mb(*argv) -> float:
-    """Run the CLI with ``argv`` in a child process and return that
-    child's own peak RSS (``VmHWM``) in MB. Linux only."""
+    """Run the CLI with ``argv`` in a child process and return the peak
+    RSS, in MB, of the largest process of the command: the child's own
+    (``VmHWM``) or a worker's it forked. Linux only."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *map(str, argv)],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stderr.splitlines()[-1]) / 1024  # VmHWM is in kB
+    return int(proc.stderr.splitlines()[-1]) / 1024  # both are in kB

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from lexstable import lexicon as lexicon_module
 from lexstable import synth as synth_module
 from lexstable.cli import build_parser, main
 from lexstable.errors import PlanError
-from lexstable.ingest import Message, build_author_corpora, read_corpus, write_corpus
+from lexstable.ingest import Message, build_author_corpora, read_corpus, split_corpus, write_corpus
 from lexstable.lexicon import load_lexicon, score_features, tokenize, write_lexicon
 from lexstable.report import fmt, write_comparison_csv
 from lexstable.stats import PopulationStats, compare_media, save_stats_json
@@ -193,6 +194,9 @@ def test_stability_memory_does_not_grow_with_messages_times_categories(tmp_path)
     # Above the imports' peak (34.1 MB on x86-64 Linux): 34.8-35.7 MB
     # when every author's per-message counts were kept to the last size,
     # 22.8 MB when only each author's values are. The bound lies between.
+    # On two or more CPUs the 15 MB corpus is read by two workers, and the
+    # larger of the parent's and the largest worker's peaks is 15.8 MB;
+    # counts kept to the last size reach the parent and read 47 MB.
     assert peak - imports < 29.0, (peak, imports)
 
 
@@ -616,7 +620,7 @@ _SCIPY_PROBE = textwrap.dedent("""
     # p-values alone, so compare runs last
     def run(*argv):
         assert main([str(a) for a in argv]) == 0, argv
-        unwanted = {"scipy", "xml", "urllib.request"}
+        unwanted = {"scipy", "xml", "urllib.request", "multiprocessing"}  # each corpus is one shard
         if argv[0] != "compare":
             unwanted |= {"decimal", "lexstable.tdist"}
         assert unwanted.isdisjoint(sys.modules), (argv[0], sorted(unwanted.intersection(sys.modules)))
@@ -886,3 +890,124 @@ def test_stability_memory_does_not_grow_with_each_author_messages(tmp_path):
     # author's messages per author; streaming by about 0.25 (tracemalloc,
     # 300 messages of 10-20 words per author).
     assert per_author < 0.5 * one_author
+
+
+# --- a corpus of two shards or more is read in forked workers -------------
+
+def _force_shards(monkeypatch, n):
+    """Cut every corpus into up to ``n`` shards, one worker each, on any
+    host. Returns the list that receives each corpus's shard count."""
+    counts = []
+
+    def split(path, shards):
+        result = split_corpus(path, shards)
+        counts.append(len(result))
+        return result
+
+    monkeypatch.setattr(cli_module, "_SHARD_BYTES", 1)
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(cli_module, "split_corpus", split)
+    return counts
+
+
+# one shard is the golden test itself
+@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CURVES))
+def test_golden_curves_do_not_depend_on_the_shard_count(tmp_path, monkeypatch, case, shards):
+    counts = _force_shards(monkeypatch, shards)
+    test_stability_curves_match_their_golden_digests(tmp_path, case)
+    assert counts == [shards]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_scoring_commands_write_the_per_author_api_in_any_shard_count(tmp_path, monkeypatch, shards):
+    counts = _force_shards(monkeypatch, shards)
+    test_scoring_commands_write_what_the_per_author_api_gives(tmp_path)
+    assert set(counts) == {shards}
+    assert multiprocessing.active_children() == []
+
+
+_SHARDED_FLAGS = {
+    "stability": lambda model, out_dir: ["--base", 60, "--sizes", "5,10,30", "--svg", out_dir / "out.svg"],
+    "score": lambda model, out_dir: ["--stats-out", out_dir / "stats.json"],
+    "traits": lambda model, out_dir: ["--model", model, "--stats-out", out_dir / "stats.json"],
+    "compare": lambda model, out_dir: ["--model", model, "--svg", out_dir / "out.svg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SHARDED_FLAGS))
+def test_outputs_notes_and_manifest_do_not_depend_on_the_shard_count(tmp_path, synth_files, monkeypatch,
+                                                                     capsys, command):
+    corpus, lexicon = synth_files
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    junk = [b"not json\n", b"\n", b'{"author_id":"zz","timestamp":"never","text":"x"}\n']
+    padded = tmp_path / "padded.jsonl"  # junk between every two authors, and an author without tokens
+    padded.write_bytes(b"".join(line + (junk[i // 60 % 3] if i % 60 == 59 else b"")
+                                for i, line in enumerate(lines)) + _EMPTY_AUTHOR)
+    model = tmp_path / "m.model"
+    model.write_text("model m\ntrait t intercept=1\n\tcat01 0.5\n\tcat03 -2\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = _scoring_argv(command, padded, out_dir, "--lexicon", lexicon, *_SHARDED_FLAGS[command](model, out_dir))
+    seen = {}
+    for shards in (1, 2, 3):
+        counts = _force_shards(monkeypatch, shards)
+        assert run(*argv) == 0
+        assert counts == [shards] * (2 if command == "compare" else 1)
+        assert multiprocessing.active_children() == []
+        captured = capsys.readouterr()
+        seen[shards] = captured.out, captured.err, {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    assert seen[1] == seen[2] == seen[3]
+    notes = ["note: skipped 5 malformed record(s) in " + str(padded)]
+    if command != "stability":
+        notes.append("note: dropped 1 author(s) with empty corpora")
+    assert seen[1][1].splitlines() == notes * (2 if command == "compare" else 1)
+    assert len(seen[1][2]) == 3  # out.csv, its companion output and run_manifest.json
+
+
+def _swapped_runs(lines, k):
+    """Corpus lines with the author runs k and k + 1 swapped."""
+    runs = [list(group) for _, group in itertools.groupby(lines, lambda l: json.loads(l)["author_id"])]
+    runs[k], runs[k + 1] = runs[k + 1], runs[k]
+    return [line for group in runs for line in group]
+
+
+@pytest.mark.parametrize("command", sorted(_STREAMING_COMMANDS))
+def test_an_order_error_does_not_depend_on_the_shard_count(tmp_path, synth_files, monkeypatch, capsys, command):
+    corpus, lexicon = synth_files
+    lines = corpus.read_text().splitlines()
+    cases = {"last": lines[1:] + ["", lines[0]]}  # the error in the last shard
+    cases.update({f"swap{k}": _swapped_runs(lines, k) for k in range(7)})  # the error at every author change
+    for name, case in cases.items():
+        unsorted = tmp_path / f"{name}.jsonl"
+        unsorted.write_text("\n".join(case) + "\n")
+        errors = set()
+        for shards in (1, 2, 3):
+            _force_shards(monkeypatch, shards)
+            out_dir = tmp_path / f"{name}-{shards}"
+            assert _run_streaming(command, unsorted, lexicon, out_dir) == 1
+            assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
+            assert multiprocessing.active_children() == []
+            errors.add(capsys.readouterr().err)
+        assert len(errors) == 1
+        line = len(lines) + 1 if name == "last" else int(name[4:]) * 60 + 61
+        assert f"{unsorted}:{line}: author_id " in errors.pop()
+
+
+def test_a_worker_that_dies_fails_the_command(tmp_path, synth_files, monkeypatch, capsys):
+    corpus, lexicon = synth_files
+    parent = os.getpid()
+
+    def dying(run, build=build_author_corpora):
+        if os.getpid() != parent and run[0].author_id == "author0005":
+            os._exit(3)
+        return build(run)
+
+    _force_shards(monkeypatch, 3)
+    monkeypatch.setattr(cli_module, "build_author_corpora", dying)
+    out_dir = tmp_path / "out"
+    assert _run_streaming("score", corpus, lexicon, out_dir) == 1
+    assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
+    assert list(out_dir.iterdir()) == []
+    assert multiprocessing.active_children() == []

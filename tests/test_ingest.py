@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexstable.errors import CorpusOrderError
 from lexstable.ingest import (
     Message,
     ParseResult,
+    Shard,
     build_author_corpora,
     canonical_line,
     clean_text,
@@ -18,6 +20,7 @@ from lexstable.ingest import (
     parse_messages,
     parse_timestamp,
     read_corpus,
+    split_corpus,
     strip_quoted,
     write_corpus,
 )
@@ -483,6 +486,76 @@ def test_iter_authors_groups_as_read_corpus_does(tmp_path_factory, records, junk
     result = read_corpus(path)
     want = build_author_corpora(result.messages)
     assert _streamed_corpora(path) == (want, result.skipped)
+
+
+# --- split_corpus --------------------------------------------------------
+
+_SHARD_AUTHORS = ["a", "b", "bb", "é", "ß\u2028z"]
+# Lines the reader skips; the records carry an author_id, often one that
+# differs from both neighbours, which must not mark an author change.
+_SKIPPED_LINES = st.sampled_from(["", "  ", "{", "[1]", "not json"]) | st.builds(
+    lambda author, stamp: json.dumps({"author_id": author, "timestamp": stamp, "medium": "m",
+                                      "text": "\ud800" if stamp.startswith("2") else "x"}),
+    st.sampled_from(_SHARD_AUTHORS + ["0", "zz"]),
+    st.sampled_from(["never", "2014-03-01T12:00:00Z"]),  # a bad stamp, or a lone surrogate in the text
+)
+
+
+def _read_shards(path, shards):
+    """The shards' author runs, concatenated, and their summed tallies;
+    or the text of the first order error."""
+    runs, counts = [], [0, 0, 0]
+    try:
+        for shard in shards:
+            tally = ParseResult()
+            runs += iter_authors(path, tally, shard)
+            counts = [a + b for a, b in zip(counts, (tally.lines, tally.skipped, tally.filtered))]
+    except CorpusOrderError as exc:
+        return str(exc)
+    return runs, counts
+
+
+@given(
+    runs=st.lists(st.tuples(st.sampled_from(_SHARD_AUTHORS),
+                            st.lists(st.sampled_from(["", "one", "zwei wörter", "三 words"]), min_size=1, max_size=5)),
+                  max_size=6),
+    ordered=st.booleans(),
+    junk=st.lists(st.tuples(st.integers(0, 10**6), _SKIPPED_LINES), max_size=8),
+    newline=st.booleans(),
+)
+@example(  # a skipped record of another author where a raw author_id would mark a change
+    runs=[("a", ["one", "one"]), ("b", ["one", "one"])], ordered=True,
+    junk=[(1, '{"author_id": "zz", "timestamp": "never", "text": "x"}')], newline=True,
+)
+@settings(max_examples=200, deadline=None)
+def test_shards_read_as_the_whole_file(tmp_path_factory, runs, ordered, junk, newline):
+    if ordered:
+        runs.sort(key=lambda r: r[0])
+    lines = [canonical_line(Message(author, ts(f"2014-03-01T12:{i:02d}:00Z"), "blog", text))[:-1]
+             for author, texts in runs for i, text in enumerate(texts)]
+    for position, line in junk:
+        lines.insert(position % (len(lines) + 1), line)
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n" * (newline and bool(lines))).encode())
+    whole = _read_shards(path, [Shard()])
+    for n in range(1, 6):
+        shards = split_corpus(path, n)
+        assert 1 <= len(shards) <= n
+        assert _read_shards(path, shards) == whole
+
+
+def test_a_cut_falls_where_the_yielded_author_changes(tmp_path):
+    # the middle lands in a's run, beside a skipped record of author "zz";
+    # the cut is where b's first message starts
+    lines = [b'{"author_id":"a","timestamp":"2014-03-01T12:00:00Z","medium":"m","text":"w"}\n'] * 3
+    skipped = b'{"author_id":"zz","timestamp":"never","text":"x"}\n'
+    b_line = b'{"author_id":"b","timestamp":"2014-03-01T12:00:00Z","medium":"m","text":"w"}\n'
+    data = lines[0] + lines[1] + skipped + lines[2] + b_line
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(data)
+    cut = data.index(b_line)
+    assert split_corpus(path, 2) == [Shard(0, cut, None), Shard(cut, None, "a")]
+    assert split_corpus(path, 1) == [Shard()]
 
 
 def test_no_output_tweet_starts_with_rt():
