@@ -308,6 +308,13 @@ def _first_text_plain(msg) -> str:
     return ""
 
 
+# A mailbox has far fewer senders than mails (the benchmark's has 109
+# distinct From headers among 4,967 mails): the memo parses each once.
+@lru_cache(maxsize=1 << 12)
+def _sender(from_header: str) -> str:
+    return email.utils.parseaddr(from_header)[1]
+
+
 def _parse_mbox(stream, medium: str, tally: ParseResult) -> Iterator[Message]:
     data = stream.read()
     for raw in _message_boundaries(data):
@@ -317,7 +324,7 @@ def _parse_mbox(stream, medium: str, tally: ParseResult) -> Iterator[Message]:
             tally.skipped += 1
             continue
         # str(): a header with undecodable bytes comes back as a Header object
-        sender = email.utils.parseaddr(str(msg.get("From", "")))[1]
+        sender = _sender(str(msg.get("From", "")))
         if not sender:
             tally.skipped += 1
             continue

@@ -11,7 +11,11 @@ With sigma = 0 the token process is i.i.d. at exactly base_rates.
 All draws come from one per-author stream seeded by
 derive_seed(spec.seed, "author", author_id), in a fixed order: message
 lengths, drift noise, token category uniforms, token word uniforms.
-Changing one author's id therefore never affects another author.
+Changing one author's id therefore never affects another author, and
+the jittered rates come from a second per-author stream. So contiguous
+runs of ``population_ids`` can be generated in separate processes and
+joined in id order into the corpus of the whole population, as the CLI's
+``synth`` does on several CPUs.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ def author_rates(spec: SyntheticSpec, author_id: str, rate_jitter: float) -> np.
         jittered = rates * np.exp(rate_jitter * g)
         jittered /= jittered.sum()
     if not np.all(np.isfinite(jittered) & (jittered > 0.0)):
-        raise PlanError(f"rate_jitter {rate_jitter} makes a per-author rate zero or not a finite number")
+        raise PlanError(f"rate_jitter {rate_jitter} makes a rate of {author_id} zero or not a finite number")
     return jittered
 
 
@@ -167,7 +171,7 @@ def generate_author(
         eta = _drift_log_rates(stream, n, k, spec.drift_rho, spec.drift_sigma)
         logits = np.log(base)[None, :] + eta
         if not np.isfinite(logits).all():
-            raise PlanError(f"drift_sigma {spec.drift_sigma} makes a drift logit not a finite number")
+            raise PlanError(f"drift_sigma {spec.drift_sigma} makes a drift logit of {author_id} not a finite number")
         logits -= logits.max(axis=1, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -188,22 +192,34 @@ def generate_author(
     return AuthorCorpus(author_id=author_id, medium=SYNTH_MEDIUM, messages=messages)
 
 
+def population_ids(n_authors: int) -> list[str]:
+    """The ids of a population of ``n_authors`` authors, author0000,
+    author0001, ..., in ascending order, the order of a canonical corpus
+    file (author10000 comes before author1001)."""
+    if n_authors < 2:
+        raise PlanError("n_authors must be >= 2")
+    return sorted(f"author{i:04d}" for i in range(n_authors))
+
+
+def generate_authors(
+    spec: SyntheticSpec,
+    author_ids,
+    rate_jitter: float = 0.0,
+) -> Iterator[AuthorCorpus]:
+    """The corpora of ``author_ids``, in their order, with jittered
+    per-author rates, generated one at a time."""
+    for author_id in author_ids:
+        yield generate_author(spec, author_id, rates=author_rates(spec, author_id, rate_jitter))
+
+
 def iter_population(
     spec: SyntheticSpec,
     n_authors: int,
     rate_jitter: float = 0.0,
 ) -> Iterator[AuthorCorpus]:
-    """The corpora of ``n_authors`` authors with jittered per-author
-    rates, generated one at a time in ascending author_id order, the
-    order of a canonical corpus file (author10000 comes before
-    author1001). Author ids are author0000, author0001, ..."""
-    if n_authors < 2:
-        raise PlanError("n_authors must be >= 2")
-    author_ids = sorted(f"author{i:04d}" for i in range(n_authors))
-    return (
-        generate_author(spec, author_id, rates=author_rates(spec, author_id, rate_jitter))
-        for author_id in author_ids
-    )
+    """The corpora of the ``population_ids`` of ``n_authors`` authors,
+    through ``generate_authors``."""
+    return generate_authors(spec, population_ids(n_authors), rate_jitter)
 
 
 def generate_population(
