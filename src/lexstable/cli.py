@@ -47,9 +47,9 @@ from . import __version__
 from .atomic import atomic_write
 from .errors import EmptySampleError, LexstableError, PlanError
 from .ingest import (
-    ParseResult, build_author_corpora, canonical_line, iter_authors, parse_messages, split_corpus, write_corpus,
-    FORMATS,
+    ParseResult, canonical_line, iter_author_texts, parse_messages, split_corpus, write_corpus, FORMATS,
 )
+from .ingest import build_author_corpora  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .ingest import read_corpus  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .lexicon import load_lexicon, score_features, write_lexicon
 from .report import (
@@ -171,17 +171,17 @@ def _fork_map(fn, items) -> list:
 
 def map_authors(path, fn) -> list:
     """``fn`` of each of the corpus's ``AuthorCorpus`` groups, in file
-    order; the skipped-record note follows the last author. Each author
-    is read, and dropped, one at a time. A file of at least two
-    ``_SHARD_BYTES`` is cut at author changes into one shard per usable
-    CPU, and each shard is read in a forked worker; results, the note
-    and errors do not depend on the number of shards."""
+    order, each holding its texts alone (``iter_author_texts``); the
+    skipped-record note follows the last author. Each author is read, and
+    dropped, one at a time. A file of at least two ``_SHARD_BYTES`` is
+    cut at author changes into one shard per usable CPU, and each shard
+    is read in a forked worker; results, the note and errors do not
+    depend on the number of shards."""
     shards = split_corpus(path, min(_usable_cpus(), os.path.getsize(path) // _SHARD_BYTES))
 
     def read(shard):
         tally = ParseResult()
-        return [fn(corpus) for run in iter_authors(path, tally, shard)
-                for corpus in build_author_corpora(run)], tally.skipped
+        return [fn(corpus) for corpus in iter_author_texts(path, tally, shard)], tally.skipped
 
     parts = _fork_map(read, shards) if len(shards) > 1 else [read(shards[0])]
     skipped = sum(n for _, n in parts)

@@ -8,19 +8,28 @@ Text is stored cleaned, so reading a corpus takes it verbatim. Each
 author's lines are one contiguous run, so ``iter_authors`` can read the
 file one author at a time, and ``split_corpus`` can cut it into byte
 ranges at author changes that are read apart.
+
+The streaming commands read a corpus through ``iter_author_texts``: per
+author and medium, its texts alone, in timestamp-text order. A canonical
+stamp is fixed-width, so its text order is its time order, and no
+datetime or ``Message`` is made for it. ``iter_authors`` and
+``read_corpus`` give ``Message`` objects for the API and ``ingest``.
+
+Readers keep only what they return: a mailbox is read mail by mail, so
+``ingest``'s memory grows with the messages it keeps, not with the file.
 """
 
 from __future__ import annotations
 
-import email
-import email.utils
 import json
 import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache, partial
+from itertools import groupby
 from json.encoder import encode_basestring as _quote
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from .atomic import atomic_write
@@ -73,7 +82,10 @@ class Message:
 @dataclass
 class AuthorCorpus:
     """One author's messages in one medium, ascending by timestamp
-    (ties keep input order)."""
+    (ties keep input order). ``messages`` holds ``Message`` objects, or,
+    as ``iter_author_texts`` reads them, their texts alone:
+    ``score_features``, ``count_matrix`` and
+    ``StabilityExperiment.observe`` take either."""
 
     author_id: str
     medium: str
@@ -185,8 +197,11 @@ _FILTERED = object()
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
-def _has_surrogate(msg: Message) -> bool:
-    return any(map(_SURROGATE_RE.search, (msg.author_id, msg.medium, msg.text)))
+def _has_surrogate(item) -> bool:
+    """Whether a message's author_id, medium or text, or any field of a
+    ``_text_record`` tuple, holds a lone surrogate."""
+    fields = (item.author_id, item.medium, item.text) if isinstance(item, Message) else item
+    return any(map(_SURROGATE_RE.search, fields))
 
 
 # One decoder for every JSONL line. On a stripped line, raw_decode plus
@@ -205,6 +220,55 @@ def _canonical_record(record: dict, medium: str):
     if author is None or ts is None or not isinstance(text, str):
         return None
     return Message(str(author), ts, str(record.get("medium", medium)), text)
+
+
+# A canonical stamp: ASCII digits, a four-digit year, a time of day and
+# "Z". Its date still needs a check: "0000-02-30T00:00:00Z" matches too.
+_CANONICAL_STAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]Z"
+).fullmatch
+
+
+# A corpus spans far fewer days than it has lines: each date is checked once.
+@lru_cache(maxsize=1 << 12)
+def _valid_date(date: str) -> bool:
+    """Whether ``YYYY-MM-DD`` names a day of the datetime range."""
+    try:
+        datetime(int(date[:4]), int(date[5:7]), int(date[8:10]))
+    except ValueError:
+        return False
+    return True
+
+
+def _stamp_key(value) -> str | None:
+    """A text that sorts, and ties, as ``parse_timestamp(value)`` does, or
+    None where that is None: the canonical text of ``value``'s UTC time
+    (``format_timestamp``), followed by its six-digit microseconds where
+    it has any. A key without them is a prefix of the same second's keys
+    with them, so it sorts first."""
+    ts = parse_timestamp(value)
+    if ts is None:
+        return None
+    key = format_timestamp(ts)
+    return f"{key}{ts.microsecond:06d}" if ts.microsecond else key
+
+
+def _text_record(record: dict, medium: str):
+    """A canonical record as ``(author_id, stamp key, medium, text)``:
+    None exactly where ``_canonical_record`` gives None, and the same
+    coerced fields otherwise. A valid canonical stamp is its own key, and
+    no datetime or Message is made for it; any other form goes through
+    ``_stamp_key``."""
+    author = record.get("author_id")
+    text = record.get("text")
+    if author is None or not isinstance(text, str):
+        return None
+    stamp = record.get("timestamp")
+    if not (isinstance(stamp, str) and _CANONICAL_STAMP(stamp) and _valid_date(stamp[:10])):
+        stamp = _stamp_key(stamp)
+        if stamp is None:
+            return None
+    return str(author), stamp, str(record.get("medium", medium)), text
 
 
 def _generic_record(record: dict, medium: str):
@@ -280,16 +344,40 @@ def strip_quoted(body: str) -> str:
     return "\n".join(kept)
 
 
-def _message_boundaries(data: bytes) -> list[bytes]:
-    chunks: list[list[bytes]] = []
+# A mailbox is read this many bytes at a time.
+_MBOX_BLOCK = 1 << 16
+
+
+def _lines(stream) -> Iterator[bytes]:
+    """The lines of a byte stream, ends kept, as ``bytes.splitlines``
+    splits the whole stream (at ``\\n``, ``\\r\\n`` and a lone ``\\r``),
+    read a block at a time. A block's last line waits for the next block,
+    which may go on with it or hold the ``\\n`` of its ``\\r\\n``."""
+    rest = b""
+    while block := stream.read(_MBOX_BLOCK):
+        lines = (rest + block).splitlines(keepends=True)
+        rest = lines.pop()
+        yield from lines
+    if rest:
+        yield rest
+
+
+def _message_boundaries(stream) -> Iterator[bytes]:
+    """Each mail of a byte stream, yielded as soon as the next one starts:
+    a mail starts at a ``From `` line that follows a blank line (or starts
+    the stream), which is not part of it."""
+    chunk: list[bytes] | None = None
     prev_blank = True
-    for line in data.splitlines(keepends=True):
+    for line in _lines(stream):
         if line.startswith(b"From ") and prev_blank:
-            chunks.append([])
-        elif chunks:
-            chunks[-1].append(line)
+            if chunk is not None:
+                yield b"".join(chunk)
+            chunk = []
+        elif chunk is not None:
+            chunk.append(line)
         prev_blank = line.strip() == b""
-    return [b"".join(c) for c in chunks]
+    if chunk is not None:
+        yield b"".join(chunk)
 
 
 def _first_text_plain(msg) -> str:
@@ -312,12 +400,17 @@ def _first_text_plain(msg) -> str:
 # distinct From headers among 4,967 mails): the memo parses each once.
 @lru_cache(maxsize=1 << 12)
 def _sender(from_header: str) -> str:
+    import email.utils  # here, not at the top: only ingest --format mbox parses mail
+
     return email.utils.parseaddr(from_header)[1]
 
 
 def _parse_mbox(stream, medium: str, tally: ParseResult) -> Iterator[Message]:
-    data = stream.read()
-    for raw in _message_boundaries(data):
+    """Parse mail by mail: only the mail being parsed and the messages
+    yielded so far are held, never the whole mailbox."""
+    import email.utils  # here, not at the top: only ingest --format mbox parses mail
+
+    for raw in _message_boundaries(stream):
         try:
             msg = email.message_from_bytes(raw)
         except Exception:
@@ -453,10 +546,10 @@ def _author_change(fh, at: int) -> tuple[int, str] | None:
             yield line
 
     author = None
-    for msg in _parse_jsonl(lines(), "other", _canonical_record, ParseResult()):
+    for author_id, *_ in _parse_jsonl(lines(), "other", _text_record, ParseResult()):
         if author is None:
-            author = msg.author_id
-        elif msg.author_id != author:
+            author = author_id
+        elif author_id != author:
             return start, author
     return None
 
@@ -465,10 +558,11 @@ def split_corpus(path, shards: int) -> list[Shard]:
     """Cut a canonical corpus into at most ``shards`` byte ranges of about
     equal size, each cut where the author of the messages the reader
     yields changes, so that one author's lines never span two ranges.
-    Reading the ranges in order with ``iter_authors`` yields the authors,
-    tallies and order errors that one read of the whole file does. An
-    author run longer than a range merges ranges; ``shards`` of 1 or less
-    is the whole file, which is then not opened."""
+    Reading the ranges in order with ``iter_authors`` or
+    ``iter_author_texts`` yields the authors, tallies and order errors
+    that one read of the whole file does. An author run longer than a
+    range merges ranges; ``shards`` of 1 or less is the whole file, which
+    is then not opened."""
     if shards <= 1:
         return [Shard()]
     size = os.path.getsize(path)
@@ -490,6 +584,33 @@ def _upto(lines, size: int):
         yield line
 
 
+def _author_runs(path, tally: ParseResult, shard: Shard, adapt, author_of) -> Iterator[list]:
+    """``iter_authors`` with records made by ``adapt`` (a ``_parse_jsonl``
+    adapter), whose author_id ``author_of`` gives."""
+    run: list = []
+    author = shard.after
+    with open(path, "rb") as fh:
+        fh.seek(shard.start)
+        lines = fh if shard.stop is None else _upto(fh, shard.stop - shard.start)
+        for item in _parse_jsonl(lines, "other", adapt, tally):
+            if (item_author := author_of(item)) != author:
+                if author is not None and item_author < author:
+                    fh.seek(0)
+                    line = fh.read(shard.start).count(b"\n") + tally.lines
+                    raise CorpusOrderError(
+                        f"{path}:{line}: author_id {item_author!r} sorts below the "
+                        f"previous author {author!r}; corpus lines must be grouped "
+                        "by ascending author_id"
+                    )
+                if run:
+                    yield run
+                    run = []
+                author = item_author
+            run.append(item)
+    if run:
+        yield run
+
+
 def iter_authors(path, tally: ParseResult, shard: Shard = Shard()) -> Iterator[list[Message]]:
     """Read a canonical corpus one author at a time: yield each author's
     messages, in file order, as one list, and keep none of them once the
@@ -506,25 +627,18 @@ def iter_authors(path, tally: ParseResult, shard: Shard = Shard()) -> Iterator[l
     an order error names the line's number in the whole file; ``tally``
     counts the range's own lines.
     """
-    run: list[Message] = []
-    author = shard.after
-    with open(path, "rb") as fh:
-        fh.seek(shard.start)
-        lines = fh if shard.stop is None else _upto(fh, shard.stop - shard.start)
-        for msg in _parse_jsonl(lines, "other", _canonical_record, tally):
-            if msg.author_id != author:
-                if author is not None and msg.author_id < author:
-                    fh.seek(0)
-                    line = fh.read(shard.start).count(b"\n") + tally.lines
-                    raise CorpusOrderError(
-                        f"{path}:{line}: author_id {msg.author_id!r} sorts below the "
-                        f"previous author {author!r}; corpus lines must be grouped "
-                        "by ascending author_id"
-                    )
-                if run:
-                    yield run
-                    run = []
-                author = msg.author_id
-            run.append(msg)
-    if run:
-        yield run
+    return _author_runs(path, tally, shard, _canonical_record, attrgetter("author_id"))
+
+
+def iter_author_texts(path, tally: ParseResult, shard: Shard = Shard()) -> Iterator[AuthorCorpus]:
+    """Read a canonical corpus one author at a time, as ``iter_authors``
+    does (same skips, tallies and order errors), and yield what
+    ``build_author_corpora`` makes of each author's messages, with the
+    messages' texts in place of the messages: one ``AuthorCorpus`` per
+    medium, in medium order, its texts sorted stably by timestamp text
+    (``_stamp_key``). No datetime or ``Message`` is made for a canonical
+    stamp."""
+    for run in _author_runs(path, tally, shard, _text_record, itemgetter(0)):
+        run.sort(key=itemgetter(2, 1))  # (medium, stamp key), ties in file order
+        for medium, rows in groupby(run, itemgetter(2)):
+            yield AuthorCorpus(run[0][0], medium, [row[3] for row in rows])

@@ -97,6 +97,28 @@ def stable_smallest(keys: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+# A ``uniform_keys`` key has 53 bits, so a column index below 2**11 fits
+# beside it in one uint64.
+_INDEX_BITS = 11
+PACKED_COLUMNS = 1 << _INDEX_BITS
+
+
+def packed_smallest(keys: np.ndarray, m: int) -> np.ndarray:
+    """``stable_smallest(keys, m)`` for keys below 2**53, as
+    ``uniform_keys`` makes them, in rows of at most ``PACKED_COLUMNS``.
+
+    Each key is packed with its index as ``key << 11 | index``. Packed
+    values are distinct and sort in (key, index) order, so one partition
+    and one sort of them give the stable order, ties included.
+    """
+    n = keys.shape[1]
+    packed = (keys << np.uint64(_INDEX_BITS)) | np.arange(n, dtype=np.uint64)
+    if m < n:
+        packed = np.partition(packed, m - 1, axis=1)[:, :m]
+    packed.sort(axis=1)
+    return (packed & np.uint64(PACKED_COLUMNS - 1)).astype(np.intp)
+
+
 class Stream:
     """A seeded SplitMix64 counter stream with vectorized draw methods."""
 

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import IneligibleAuthorError, PlanError, StatsError
 from .ingest import AuthorCorpus, Message
 from .lexicon import Lexicon, count_matrix
-from .rng import derive_seed, stable_smallest, uniform_keys
+from .rng import PACKED_COLUMNS, derive_seed, packed_smallest, stable_smallest, uniform_keys
 from .stats import PopulationStats
 from .traits import TraitModel, project, weight_matrix
 
@@ -202,8 +202,9 @@ def _prefixes(keys: np.ndarray, weights: np.ndarray, size: int, m: int) -> list[
     """Per row of ``keys``, the shortest prefix of its stable key order
     whose weight reaches ``size`` (the whole order if none does). Rows
     are sorted ``m`` keys deep; rows that fall short are redone twice as
-    deep."""
-    order = stable_smallest(keys, m)
+    deep. Rows of at most ``PACKED_COLUMNS`` keys are sorted packed with
+    their indices."""
+    order = (packed_smallest if keys.shape[1] <= PACKED_COLUMNS else stable_smallest)(keys, m)
     stops = np.count_nonzero(np.cumsum(weights[order], axis=1) < size, axis=1) + 1
     out = [row[:stop] for row, stop in zip(order, stops.tolist())]
     short = np.flatnonzero(stops > m) if m < keys.shape[1] else ()

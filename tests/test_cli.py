@@ -616,11 +616,12 @@ _SCIPY_PROBE = textwrap.dedent("""
 
     data = Path(sys.modules["lexstable"].__file__).parent / "data"  # not conftest: hypothesis loads decimal
 
-    # xml pulls in urllib.request; decimal and the t tail are for compare's
-    # p-values alone, so compare runs last
+    # xml pulls in urllib.request; email is for ingest --format mbox alone;
+    # decimal and the t tail are for compare's p-values alone, so compare
+    # runs last
     def run(*argv):
         assert main([str(a) for a in argv]) == 0, argv
-        unwanted = {"scipy", "xml", "urllib.request", "multiprocessing"}  # each corpus is one shard
+        unwanted = {"scipy", "xml", "urllib.request", "multiprocessing", "email"}  # each corpus is one shard
         if argv[0] != "compare":
             unwanted |= {"decimal", "lexstable.tdist"}
         assert unwanted.isdisjoint(sys.modules), (argv[0], sorted(unwanted.intersection(sys.modules)))
@@ -999,13 +1000,13 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, synth_files, monkeypatch
     corpus, lexicon = synth_files
     parent = os.getpid()
 
-    def dying(run, build=build_author_corpora):
-        if os.getpid() != parent and run[0].author_id == "author0005":
+    def dying(corpus, *args, score=cli_module._score_author, **kwargs):
+        if os.getpid() != parent and corpus.author_id == "author0005":
             os._exit(3)
-        return build(run)
+        return score(corpus, *args, **kwargs)
 
     _force_shards(monkeypatch, 3)
-    monkeypatch.setattr(cli_module, "build_author_corpora", dying)
+    monkeypatch.setattr(cli_module, "_score_author", dying)
     out_dir = tmp_path / "out"
     assert _run_streaming("score", corpus, lexicon, out_dir) == 1
     assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
@@ -1104,3 +1105,24 @@ def test_a_sharded_synth_keeps_no_shard_text_in_one_process(tmp_path):
     # to part files and the parent copies them; 5.8 MB in one process;
     # 24.9 MB when each worker sends its shard's text to the parent.
     assert peak - imports < 3.0, (peak, imports)
+
+
+def test_mbox_ingest_memory_grows_with_the_messages_kept_not_with_the_file(tmp_path):
+    # 2,000 mails of 50 senders, each a short reply over 40 quoted lines
+    # that strip_quoted drops: 5.6 MB of mailbox, 2,000 kept messages
+    quoted = b"".join(b"> quoted line %d of an earlier mail, kept by no reader of this one\n" % i
+                      for i in range(40))
+    mbox = tmp_path / "big.mbox"
+    with open(mbox, "wb") as fh:
+        for i in range(2000):
+            fh.write(b"From a%d@example.com Mon Mar  3 09:00:00 2014\nFrom: a%d@example.com\n"
+                     b"Date: Mon, 3 Mar 2014 09:%02d:00 +0000\n\nreply %d\n" % (i % 50, i % 50, i % 60, i)
+                     + quoted + b"\n")
+    imports = cli_peak_mb("ingest", "--help")
+    peak = cli_peak_mb("ingest", "--input", mbox, "--format", "mbox", "--out", tmp_path / "mail.jsonl")
+    assert len((tmp_path / "mail.jsonl").read_bytes().splitlines()) == 2000
+    # Above the imports' peak (33.5 MB on x86-64 Linux): 3.0 MB when the
+    # mailbox is read mail by mail (the email package's import included);
+    # 19.3 MB when the whole file, its lines and every mail's bytes are
+    # held before the first mail is parsed.
+    assert peak - imports < 8.0, (peak, imports)

@@ -3,11 +3,13 @@ import itertools
 import json
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexstable import ingest
 from lexstable.errors import CorpusOrderError
 from lexstable.ingest import (
     Message,
@@ -16,6 +18,7 @@ from lexstable.ingest import (
     build_author_corpora,
     canonical_line,
     clean_text,
+    iter_author_texts,
     iter_authors,
     parse_messages,
     parse_timestamp,
@@ -268,6 +271,52 @@ def test_mbox_parser_never_raises_and_counts_every_message(mails):
     result = parse_messages(io.BytesIO(data), "mbox", "email")
     assert len(result.messages) + result.skipped >= len(mails)  # a body may hold a "From " line
     assert all(m.author_id and m.timestamp.tzinfo is timezone.utc for m in result.messages)
+
+
+def _whole_file_mails(data: bytes) -> list[bytes]:
+    """The mails of ``data`` as a reader of the whole file splits them: a
+    mail starts at a "From " line after a blank line (or at the start)."""
+    chunks: list[list[bytes]] = []
+    prev_blank = True
+    for line in data.splitlines(keepends=True):
+        if line.startswith(b"From ") and prev_blank:
+            chunks.append([])
+        elif chunks:
+            chunks[-1].append(line)
+        prev_blank = line.strip() == b""
+    return [b"".join(c) for c in chunks]
+
+
+_MBOX_LINES = st.sampled_from([
+    b"From a@b.c Mon Mar  3 09:00:00 2014", b"From ", b"From:x", b">From a@b.c quoted", b"", b"  ", b"\t",
+    b"From: A <a@b.c>", b"From: b@c.d", b"Date: Mon, 3 Mar 2014 09:00:00 +0000",
+    b"Date: Tue, 4 Mar 2014 10:00:00 +0100", b"Subject: s", b"body words", b"> quoted", b"-- ",
+]) | st.binary(max_size=12)
+
+
+@given(lines=st.lists(st.tuples(_MBOX_LINES, st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=24),
+       last=_MBOX_LINES, block=st.sampled_from([1, 2, 3, 7, 64, ingest._MBOX_BLOCK]))
+@example(lines=[(b"From x", b"\r"), (b"From: a@b.c", b"\r\n"), (b"Date: Mon, 3 Mar 2014 09:00:00 +0000", b"\n"),
+                (b"", b"\r"), (b"hi", b"\r\n"), (b"", b"\r\n"), (b"From y", b"\n")], last=b"tail", block=2)
+@settings(max_examples=300, deadline=None)
+def test_the_streamed_mbox_split_equals_the_whole_file_split(lines, last, block):
+    # ``last`` ends the input without a newline; blank lines before "From "
+    # lines come from the blank entries of _MBOX_LINES; small blocks cut
+    # lines, and "\r\n" pairs, between reads
+    data = b"".join(line + end for line, end in lines) + last
+
+    def whole_file(stream):
+        return iter(_whole_file_mails(stream.read()))
+
+    def parsed():
+        result = parse_messages(io.BytesIO(data), "mbox", "email")
+        return result.messages, result.skipped, result.filtered, result.lines
+
+    with mock.patch.object(ingest, "_MBOX_BLOCK", block):
+        assert list(ingest._message_boundaries(io.BytesIO(data))) == _whole_file_mails(data)
+        streamed = parsed()
+    with mock.patch.object(ingest, "_message_boundaries", whole_file):
+        assert parsed() == streamed
 
 
 # --- build_author_corpora ---------------------------------------------
@@ -542,6 +591,80 @@ def test_shards_read_as_the_whole_file(tmp_path_factory, runs, ordered, junk, ne
         shards = split_corpus(path, n)
         assert 1 <= len(shards) <= n
         assert _read_shards(path, shards) == whole
+
+
+# --- iter_author_texts ---------------------------------------------------
+
+# Stamps of 2014-03-01T12:00:00Z in every form the reader accepts, and
+# one second later: an author's messages tie across forms.
+_NOON_STAMPS = st.sampled_from([
+    "2014-03-01T12:00:00Z", "2014-03-01T12:00:01Z", "2014-03-01T13:00:00+01:00", "2014-03-01T07:00:01-05:00",
+    "2014-03-01T12:00:00", " 2014-03-01T12:00:00Z", "2014-03-01 12:00:00Z", "20140301T120000Z",
+    "2014-03-01T12:00:00.5Z", "2014-03-01T12:00:00.000001+00:00", "2014-03-01T12:00:00Z\n",
+    1393675200, 1393675201, 1393675200.25, "Sat Mar 01 12:00:00 +0000 2014", "Sat Mar 01 13:00:01 +0100 2014",
+])
+# Canonical in form, valid or not: year 0000, month 13, day 30 of
+# February, hour 24, minute or second 60; leap days, and the range's ends.
+_FIELD_STAMPS = st.builds(
+    "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format,
+    st.sampled_from([0, 1, 1900, 2000, 2014, 2016, 9999]), st.integers(0, 13), st.integers(0, 32),
+    st.sampled_from([0, 12, 23, 24]), st.sampled_from([0, 59, 60]), st.sampled_from([0, 1, 59, 60]),
+)
+_ODD_STAMPS = st.sampled_from([
+    "2014-02-30T12:00:00Z", "0000-01-01T00:00:00Z", "2014-03-01T24:00:00Z", "2014-03-01T12:00:60Z",
+    "\u0662\u0660\u0661\u0664-03-01T12:00:00Z", "2014-W09-6T12:00:00Z", "9999-12-31T23:59:59-01:00",
+    "never", "", None, True, [1], 1e300,
+])
+_READER_RECORDS = st.fixed_dictionaries(
+    {
+        "author_id": st.sampled_from(["a", "b", "é", "\ud800b", 0, 7, None, True]),
+        "timestamp": _NOON_STAMPS | _FIELD_STAMPS | _ODD_STAMPS,
+        "text": st.sampled_from(["", "one", "two words", "lone \ud800", None, 5]),
+    },
+    optional={"medium": st.sampled_from(["blog", "twitter", "\udfff", None, 3])},  # missing reads as "other"
+)
+
+
+def _read_authors(read, path, shards):
+    """What ``read`` yields from each shard in turn, as (author_id, medium,
+    texts), each shard's tally, and the text of the order error, if any."""
+    corpora, tallies = [], []
+    try:
+        for shard in shards:
+            tally = ParseResult()
+            corpora += ((c.author_id, c.medium, [getattr(m, "text", m) for m in c.messages])
+                        for c in read(path, tally, shard))
+            tallies.append((tally.lines, tally.skipped, tally.filtered))
+    except CorpusOrderError as exc:
+        return corpora, tallies, str(exc)
+    return corpora, tallies, None
+
+
+def _built_from_messages(path, tally, shard):
+    return (c for run in iter_authors(path, tally, shard) for c in build_author_corpora(run))
+
+
+@given(records=st.lists(_READER_RECORDS, max_size=24), ordered=st.booleans(),
+       junk=st.lists(st.tuples(st.integers(0, 10**6), _JUNK_LINES), max_size=4))
+@example(  # forms mixed within one author, a tie at 12:00:00, a fraction after it
+    records=[{"author_id": "a", "timestamp": t, "medium": "blog", "text": str(i)} for i, t in enumerate(
+        ["2014-03-01T12:00:01Z", 1393675200.25, "Sat Mar 01 12:00:00 +0000 2014", "2014-03-01T13:00:00+01:00",
+         "2014-03-01T12:00:00Z", "2014-02-30T00:00:00Z"])],
+    ordered=True, junk=[],
+)
+@settings(max_examples=300, deadline=None)
+def test_iter_author_texts_reads_what_iter_authors_and_build_author_corpora_give(
+        tmp_path_factory, records, ordered, junk):
+    if ordered:  # a key that sorts like str(author_id); shuffled files hit order errors
+        records.sort(key=lambda r: str(r["author_id"]))
+    lines = [json.dumps(r) for r in records]
+    for position, line in junk:
+        lines.insert(position % (len(lines) + 1), line)
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    for n in (1, 2, 3):
+        shards = split_corpus(path, n)
+        assert _read_authors(iter_author_texts, path, shards) == _read_authors(_built_from_messages, path, shards)
 
 
 def test_a_cut_falls_where_the_yielded_author_changes(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexstable.rng import Stream, derive_seed, stable_smallest, uniform_keys
+from lexstable.rng import PACKED_COLUMNS, Stream, derive_seed, packed_smallest, stable_smallest, uniform_keys
 
 # Published reference outputs of the SplitMix64 finalizer chain for
 # state seeded at 0 (first four next() calls).
@@ -122,3 +122,28 @@ def test_stable_smallest_tie_at_the_cut_falls_back():
     got = stable_smallest(arr, 3)
     assert got.tolist() == [[1, 4, 0], [3, 2, 1]]
     assert np.array_equal(got, np.argsort(arr, axis=1, kind="stable")[:, :3])
+
+
+# 53-bit keys: a few values, so rows tie (at the cut too), the largest
+# key, and any other.
+_KEYS_53 = st.sampled_from([0, 1, 5, 2**52, 2**53 - 1]) | st.integers(0, 2**53 - 1)
+
+
+@given(
+    keys=st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(_KEYS_53, min_size=n, max_size=n), min_size=1, max_size=5)),
+    m=st.integers(1, 45),
+)
+@settings(max_examples=300, deadline=None)
+def test_packed_smallest_is_stable_smallest(keys, m):
+    arr = np.array(keys, dtype=np.uint64)
+    assert np.array_equal(packed_smallest(arr, m), stable_smallest(arr, m))
+
+
+@pytest.mark.parametrize("m", [1, 20, 1000, PACKED_COLUMNS - 1, PACKED_COLUMNS])
+def test_packed_smallest_is_stable_smallest_on_the_widest_packed_rows(m):
+    keys = uniform_keys([3, 4, 2**64 - 1], PACKED_COLUMNS)
+    keys[1, ::7] = keys[1, 5]  # one row with a key tied 293 times
+    got = packed_smallest(keys, m)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, stable_smallest(keys, m))
