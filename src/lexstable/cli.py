@@ -11,9 +11,8 @@ that output; ``renorm`` writes neither. ``main`` owns both steps.
 ``map_authors``. A file of at least two ``_SHARD_BYTES`` is cut at author
 changes into one shard per usable CPU, and each shard is read in a forked
 worker process, since the reader and the count kernel hold the GIL; a
-smaller file is read in this process, with no fork and no
-``multiprocessing`` import. Outputs, notes and errors do not depend on the
-number of shards.
+smaller file is read in this process, with no fork. Outputs, notes and
+errors do not depend on the number of shards.
 
 ``synth`` generates its authors the same way: a population of at least
 two ``_SHARD_TOKENS`` expected tokens is cut into contiguous runs of its
@@ -21,6 +20,10 @@ sorted author ids, at most one per usable CPU. Each run is generated in
 a forked worker and streamed to an unlinked temporary part file in the
 output's directory; the parent joins the parts in id order. The corpus
 does not depend on the number of shards.
+
+A worker is a plain ``os.fork`` with one pipe: it pickles its result
+straight into the pipe, and the parent unpickles it from there, so
+neither holds the whole message. Nothing imports ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
+import signal
 import sys
 import tempfile
 import threading
@@ -65,10 +70,14 @@ from .traits import load_trait_model, project, weight_matrix
 
 
 def _sha256(path) -> str:
+    """The hex SHA-256 of the file at ``path``, read through one reused
+    64 KiB buffer, so no chunk outlives its read."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -112,61 +121,98 @@ _SHARD_TOKENS = 200_000
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or 1 where workers are not
-    forked: without ``os.sched_getaffinity`` (fork is Linux's default
-    start method, not macOS's or Windows's), or while another Python
-    thread runs, which could hold a lock the worker needs."""
+    forked: without ``os.sched_getaffinity`` (Linux has it; macOS, where
+    forking a process that has loaded system libraries is unsafe, and
+    Windows, which cannot fork, do not), or while another Python thread
+    runs, which could hold a lock the worker needs."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _work(fn, item, sender) -> None:
-    """A forked worker's body: send ``fn(item)``, or what it raised."""
+def _work(fn, item, fd) -> None:
+    """A forked worker's body: pickle ``(True, fn(item))``, or ``(False,
+    exc)`` for what it raised, straight into the pipe ``fd``, and leave
+    through ``os._exit``, never returning into the parent's code: exit
+    code 0 once the result is written, 1 if writing it failed."""
+    code = 1
     try:
-        result = True, fn(item)
-    except BaseException as exc:  # sent, not printed: the parent raises it
-        result = False, exc
-    sender.send(result)
+        with open(fd, "wb") as pipe:
+            try:
+                result = True, fn(item)
+            except BaseException as exc:  # sent, not printed: the parent raises it
+                result = False, exc
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except Exception:  # a result or an exception that cannot be pickled
+        sys.excepthook(*sys.exc_info())
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _fork(fn, item):
+    """Fork a worker for ``_work(fn, item, ...)``. Returns its pid and
+    the read end of its pipe, whose only writer is the worker, so the
+    worker's exit ends the pipe."""
+    sys.stdout.flush()  # else the worker, which flushes before it exits, writes the buffer again
+    sys.stderr.flush()
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():  # Python 3.12+ counts a BLAS pool's threads too
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        os.close(r)
+        _work(fn, item, w)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _reap(pid, reader) -> int:
+    """Close a worker's pipe, wait for it, and return its exit code
+    (minus the signal's number if a signal ended it)."""
+    reader.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _fork_map(fn, items) -> list:
     """``[fn(item) for item in items]``, each call made in its own forked
-    worker process. The first call, in order, that raised re-raises here.
-    Every worker is reaped before this returns or raises."""
-    import multiprocessing  # here, not at the top: most commands run in one process
-
-    ctx = multiprocessing.get_context("fork")
-    workers = []
+    worker process, and each result unpickled from the worker's pipe as
+    it arrives, in item order. The first call, in order, that raised
+    re-raises here; a worker that ends without a whole result is a
+    LexstableError naming its exit code. On failure the other workers
+    get SIGTERM. Every worker is reaped before this returns or raises."""
+    workers = {}  # pid -> the read end of its pipe, until reaped
     try:
         for item in items:
-            receiver, sender = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_work, args=(fn, item, sender), daemon=True)
-            with warnings.catch_warnings():  # Python 3.12+ counts a BLAS pool's threads too
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-                worker.start()
-            sender.close()  # the worker holds the only writer, so its exit ends the pipe
-            workers.append((worker, receiver))
+            pid, reader = _fork(fn, item)
+            workers[pid] = reader
         results = []
-        for worker, receiver in workers:
+        for pid, reader in list(workers.items()):
             try:
-                ok, value = receiver.recv()
-            except EOFError:
-                worker.join()
-                raise LexstableError(
-                    f"a worker process exited with code {worker.exitcode} before sending its result"
-                ) from None
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a truncated pickle
+                code = _reap(pid, workers.pop(pid))
+                raise LexstableError(f"a worker process exited with code {code} before sending its result") from None
             if not ok:
                 raise value
             results.append(value)
         return results
     except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
+        for pid in workers:  # none is reaped yet, so no pid can have been reused
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for worker, receiver in workers:
-            receiver.close()
-            worker.join()
+        for pid, reader in workers.items():
+            _reap(pid, reader)
 
 
 def map_authors(path, fn) -> list:

@@ -500,8 +500,10 @@ def write_corpus(messages, path) -> None:
     """Write messages as canonical corpus JSONL sorted by
     (author_id, timestamp), stable on ties. The author_id order is what
     ``iter_authors`` requires: each author's lines form one run, and the
-    runs ascend by author_id."""
-    ordered = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
+    runs ascend by author_id. Two stable sorts on one key each make no
+    key tuple per message."""
+    ordered = sorted(messages, key=attrgetter("timestamp"))
+    ordered.sort(key=attrgetter("author_id"))
     with atomic_write(path) as fh:
         fh.writelines(map(canonical_line, ordered))
 

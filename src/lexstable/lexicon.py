@@ -216,10 +216,16 @@ def parse_lexicon(lines: Iterable[str], source="<lexicon>") -> Lexicon:
     if not categories:
         raise LexiconError(f"{source}: no categories declared")
 
+    shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct category set
+
+    def freeze(refs: set[int]) -> frozenset[int]:
+        key = frozenset(refs)
+        return shared.setdefault(key, key)
+
     return Lexicon(
         categories=tuple(categories),
-        exact={w: frozenset(s) for w, s in exact.items()},
-        prefixes={p: frozenset(s) for p, s in prefixes.items()},
+        exact={w: freeze(s) for w, s in exact.items()},
+        prefixes={p: freeze(s) for p, s in prefixes.items()},
     )
 
 

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import subprocess
@@ -19,7 +18,7 @@ from lexstable import cli as cli_module
 from lexstable import lexicon as lexicon_module
 from lexstable import synth as synth_module
 from lexstable.cli import build_parser, main
-from lexstable.errors import PlanError
+from lexstable.errors import LexstableError, PlanError
 from lexstable.ingest import Message, build_author_corpora, read_corpus, split_corpus, write_corpus
 from lexstable.lexicon import load_lexicon, score_features, tokenize, write_lexicon
 from lexstable.report import fmt, write_comparison_csv
@@ -195,7 +194,7 @@ def test_stability_memory_does_not_grow_with_messages_times_categories(tmp_path)
     # when every author's per-message counts were kept to the last size,
     # 22.8 MB when only each author's values are. The bound lies between.
     # On two or more CPUs the 15 MB corpus is read by two workers, and the
-    # larger of the parent's and the largest worker's peaks is 15.8 MB;
+    # larger of the parent's and the largest worker's peaks is 13.9-14.1 MB;
     # counts kept to the last size reach the parent and read 47 MB.
     assert peak - imports < 29.0, (peak, imports)
 
@@ -612,6 +611,7 @@ _SCIPY_PROBE = textwrap.dedent("""
     import csv
     import sys
     from pathlib import Path
+    from lexstable import cli
     from lexstable.cli import main
 
     data = Path(sys.modules["lexstable"].__file__).parent / "data"  # not conftest: hypothesis loads decimal
@@ -621,7 +621,7 @@ _SCIPY_PROBE = textwrap.dedent("""
     # runs last
     def run(*argv):
         assert main([str(a) for a in argv]) == 0, argv
-        unwanted = {"scipy", "xml", "urllib.request", "multiprocessing", "email"}  # each corpus is one shard
+        unwanted = {"scipy", "xml", "urllib.request", "multiprocessing", "email"}
         if argv[0] != "compare":
             unwanted |= {"decimal", "lexstable.tdist"}
         assert unwanted.isdisjoint(sys.modules), (argv[0], sorted(unwanted.intersection(sys.modules)))
@@ -640,6 +640,24 @@ _SCIPY_PROBE = textwrap.dedent("""
         "--base", 20, "--sizes", "5,10", "--out", f"{d}/curves.csv")
     run("renorm", "--from-stats", f"{d}/s.json", "--to-stats", f"{d}/s.json",
         "--trait", "cat01", "--value", 1.0)
+
+    # a population and a corpus of two shards each, forked on any host
+    saved = cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES
+    forks = []
+
+    def counted(fn, items):
+        items = list(items)
+        forks.append(len(items))
+        return saved[0](fn, items)
+
+    cli._fork_map, cli._usable_cpus = counted, lambda: 2
+    cli._SHARD_TOKENS = cli._SHARD_BYTES = 1
+    run("synth", "--authors", 4, "--messages", 20, "--seed", 3, "--categories", 3,
+        "--out", f"{d}/c3.jsonl", "--lexicon-out", f"{d}/l3.dic")
+    run("stability", "--corpus", f"{d}/c3.jsonl", "--lexicon", f"{d}/l3.dic",
+        "--base", 20, "--sizes", "5,10", "--out", f"{d}/curves3.csv")
+    assert forks == [2, 2], forks
+    cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES = saved
     with open(f"{d}/m.model", "w") as fh:
         fh.write("model m\\ntrait steady intercept=0\\n\\tcat01 0.5\\n\\tcat02 -0.5\\n")
     for model_flags in ([], ["--model", f"{d}/m.model"]):
@@ -657,6 +675,17 @@ def test_no_command_imports_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_DIGEST_BUFFER = 1 << 16  # the size of _sha256's buffer
+
+
+@pytest.mark.parametrize("size", [0, 1, _DIGEST_BUFFER - 1, _DIGEST_BUFFER, _DIGEST_BUFFER + 1,
+                                  3 * _DIGEST_BUFFER + 7])
+def test_the_input_digest_is_the_sha256_of_the_whole_file(tmp_path, size):
+    path = tmp_path / "input"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert cli_module._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_usage_errors_and_help(capsys):
@@ -895,6 +924,13 @@ def test_stability_memory_does_not_grow_with_each_author_messages(tmp_path):
 
 # --- a corpus of two shards or more is read in forked workers -------------
 
+def _assert_every_child_reaped():
+    """This process has no child left, running or exited: a worker that
+    was forked but not reaped would be one."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _force_shards(monkeypatch, n):
     """Cut every corpus into up to ``n`` shards, one worker each, on any
     host. Returns the list that receives each corpus's shard count."""
@@ -918,7 +954,7 @@ def test_golden_curves_do_not_depend_on_the_shard_count(tmp_path, monkeypatch, c
     counts = _force_shards(monkeypatch, shards)
     test_stability_curves_match_their_golden_digests(tmp_path, case)
     assert counts == [shards]
-    assert multiprocessing.active_children() == []
+    _assert_every_child_reaped()
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -926,7 +962,7 @@ def test_scoring_commands_write_the_per_author_api_in_any_shard_count(tmp_path, 
     counts = _force_shards(monkeypatch, shards)
     test_scoring_commands_write_what_the_per_author_api_gives(tmp_path)
     assert set(counts) == {shards}
-    assert multiprocessing.active_children() == []
+    _assert_every_child_reaped()
 
 
 _SHARDED_FLAGS = {
@@ -956,7 +992,7 @@ def test_outputs_notes_and_manifest_do_not_depend_on_the_shard_count(tmp_path, s
         counts = _force_shards(monkeypatch, shards)
         assert run(*argv) == 0
         assert counts == [shards] * (2 if command == "compare" else 1)
-        assert multiprocessing.active_children() == []
+        _assert_every_child_reaped()
         captured = capsys.readouterr()
         seen[shards] = captured.out, captured.err, {f.name: f.read_bytes() for f in out_dir.iterdir()}
     assert seen[1] == seen[2] == seen[3]
@@ -989,7 +1025,7 @@ def test_an_order_error_does_not_depend_on_the_shard_count(tmp_path, synth_files
             out_dir = tmp_path / f"{name}-{shards}"
             assert _run_streaming(command, unsorted, lexicon, out_dir) == 1
             assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
-            assert multiprocessing.active_children() == []
+            _assert_every_child_reaped()
             errors.add(capsys.readouterr().err)
         assert len(errors) == 1
         line = len(lines) + 1 if name == "last" else int(name[4:]) * 60 + 61
@@ -1011,7 +1047,48 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, synth_files, monkeypatch
     assert _run_streaming("score", corpus, lexicon, out_dir) == 1
     assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
     assert list(out_dir.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    _assert_every_child_reaped()
+
+
+@pytest.mark.parametrize("what", ["result", "exception"])
+def test_a_worker_whose_result_cannot_be_pickled_fails_the_command(tmp_path, synth_files, monkeypatch, capsys,
+                                                                   what):
+    corpus, lexicon = synth_files
+    parent = os.getpid()
+
+    def unsendable(corpus, *args, score=cli_module._score_author, **kwargs):
+        if os.getpid() != parent and corpus.author_id == "author0005":
+            if what == "exception":  # nothing reaches the pipe
+                raise LexstableError(lambda: None)
+            return bytes(1 << 20), lambda: None  # a megabyte reaches the pipe before the lambda fails
+        return score(corpus, *args, **kwargs)
+
+    _force_shards(monkeypatch, 3)
+    monkeypatch.setattr(cli_module, "_score_author", unsendable)
+    out_dir = tmp_path / "out"
+    assert _run_streaming("score", corpus, lexicon, out_dir) == 1
+    assert capsys.readouterr().err == "error: a worker process exited with code 1 before sending its result\n"
+    assert list(out_dir.iterdir()) == []
+    _assert_every_child_reaped()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs to shard; reads VmHWM from /proc")
+def test_a_sharded_stability_run_keeps_no_bookkeeping_on_its_peak(tmp_path):
+    corpus, lexicon = tmp_path / "c.jsonl", tmp_path / "l.dic"
+    assert run("synth", "--authors", "40", "--messages", "2000", "--seed", "5",
+               "--out", str(corpus), "--lexicon-out", str(lexicon)) == 0
+    imports = cli_peak_mb("stability", "--help")
+    peak = cli_peak_mb("stability", "--corpus", corpus, "--lexicon", lexicon,
+                       "--unit", "messages", "--mode", "both", "--base", 2000,
+                       "--sizes", "20,50,100,200,500,1000", "--seed", 5, "--out", tmp_path / "curves.csv")
+    # Above the imports' peak (33.6 MB on x86-64 Linux), for this 14 MB
+    # corpus in two shards: 2.8-2.9 MB when the input digest reads through
+    # one 64 KiB buffer and each worker's result is unpickled from its
+    # pipe; 4.5-4.6 MB when the digest reads 1 MiB chunks; 3.9-4.0 MB
+    # when the workers are multiprocessing processes that send whole
+    # pickled messages; 5.7-5.9 MB with both.
+    assert peak - imports < 3.4, (peak, imports)
 
 
 # --- a large synth population is generated in forked workers --------------
@@ -1052,7 +1129,7 @@ def test_synth_does_not_depend_on_the_shard_count(tmp_path, monkeypatch, capsys,
         counts = _force_synth_shards(monkeypatch, shards)
         assert run(*map(str, argv)) == 0
         assert counts == ([shards] if shards > 1 else [])
-        assert multiprocessing.active_children() == []
+        _assert_every_child_reaped()
         captured = capsys.readouterr()
         seen[shards] = captured.out, captured.err, {f.name: f.read_bytes() for f in tmp_path.iterdir()}
     assert seen[1] == seen[2] == seen[3]
@@ -1071,7 +1148,7 @@ def test_a_synth_rate_error_names_the_same_first_author_in_any_shard_count(tmp_p
         assert capsys.readouterr().err == (
             "error: rate_jitter 800.0 makes a rate of author0003 zero or not a finite number\n")
         assert list(tmp_path.iterdir()) == []
-        assert multiprocessing.active_children() == []
+        _assert_every_child_reaped()
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -1091,7 +1168,7 @@ def test_a_synth_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
     assert counts == [shards]
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    _assert_every_child_reaped()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -1100,10 +1177,10 @@ def test_a_sharded_synth_keeps_no_shard_text_in_one_process(tmp_path):
     imports = cli_peak_mb("synth", "--help")
     peak = cli_peak_mb("synth", "--authors", 40, "--messages", 2000, "--seed", 5,
                        "--out", tmp_path / "c.jsonl", "--lexicon-out", tmp_path / "l.dic")
-    # Above the imports' peak (34.4 MB on x86-64 Linux), for this 14 MB
-    # corpus: 0.5 MB in two shards, where the workers stream their authors
-    # to part files and the parent copies them; 5.8 MB in one process;
-    # 24.9 MB when each worker sends its shard's text to the parent.
+    # Above the imports' peak (33.6 MB on x86-64 Linux), for this 14 MB
+    # corpus: at most 0.1 MB in two shards, where the workers stream their
+    # authors to part files and the parent copies them; 5.8 MB in one
+    # process; 24.9 MB when each worker sends its shard's text to the parent.
     assert peak - imports < 3.0, (peak, imports)
 
 

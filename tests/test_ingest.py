@@ -457,6 +457,19 @@ def test_read_corpus_inverts_write_corpus(tmp_path_factory, records):
     assert (d / "second.jsonl").read_bytes() == (d / "first.jsonl").read_bytes()
 
 
+@given(keys=st.lists(st.tuples(st.sampled_from(["a", "b", "ab", ""]), st.integers(0, 3)), max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_write_corpus_orders_as_the_author_then_stamp_key_does(tmp_path_factory, keys):
+    # tied authors, tied stamps and full ties, each message told apart by
+    # its input position, so a full tie must keep the input order
+    messages = [Message(author, _EPOCH + timedelta(seconds=secs), "blog", str(i))
+                for i, (author, secs) in enumerate(keys)]
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    write_corpus(messages, path)
+    ordered = sorted(messages, key=lambda m: (m.author_id, m.timestamp))
+    assert path.read_text(encoding="utf-8") == "".join(map(canonical_line, ordered))
+
+
 # Any string a field can hold: JSON's escapes, controls, the line and
 # paragraph separators, non-BMP characters and lone surrogates.
 _FIELD_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\U0001f600\ud800')

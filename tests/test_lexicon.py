@@ -107,9 +107,10 @@ def test_entry_words_fold_the_curly_apostrophe_as_tokens_do():
 
 
 def test_duplicate_entries_merge_category_sets():
-    lex = parse_lexicon(["%", "1\ta", "2\tb", "%", "x\t1", "x\t2", "pre*\t1", "pre*\t2"])
+    lex = parse_lexicon(["%", "1\ta", "2\tb", "%", "x\t1", "x\t2", "pre*\t1", "pre*\t2", "y\t2\t1"])
     assert lex.exact["x"] == frozenset({1, 2})
     assert lex.prefixes["pre"] == frozenset({1, 2})
+    assert lex.exact["x"] is lex.exact["y"] is lex.prefixes["pre"]  # one frozenset per distinct set
 
 
 def test_roundtrip_through_file(tmp_path, toy):
