@@ -8,18 +8,17 @@ with the resolved flags and content digests of the input files beside
 that output; ``renorm`` writes neither. ``main`` owns both steps.
 
 ``score``, ``traits``, ``compare`` and ``stability`` read a corpus through
-``map_authors``. A file of at least two ``_SHARD_BYTES`` is cut at author
-changes into one shard per usable CPU, and each shard is read in a forked
-worker process, since the reader and the count kernel hold the GIL; a
-smaller file is read in this process, with no fork. Outputs, notes and
+``map_authors``, and ``synth`` writes one, through ``_fork_map``: the work
+is cut into shards, at most one per usable CPU, and a lone shard runs in
+this process, with no fork; each of two or more runs in a forked worker,
+since the reader, the count kernel and the generator hold the GIL. A
+corpus file of at least two ``_SHARD_BYTES`` is cut at author changes; a
+``synth`` population of at least two ``_SHARD_TOKENS`` expected tokens is
+cut into contiguous runs of its sorted author ids. ``synth``'s first run
+streams straight into the output, through the file its worker inherits,
+and each later run into an unlinked temporary part file in the output's
+directory, which the parent appends in id order. Outputs, notes and
 errors do not depend on the number of shards.
-
-``synth`` generates its authors the same way: a population of at least
-two ``_SHARD_TOKENS`` expected tokens is cut into contiguous runs of its
-sorted author ids, at most one per usable CPU. Each run is generated in
-a forked worker and streamed to an unlinked temporary part file in the
-output's directory; the parent joins the parts in id order. The corpus
-does not depend on the number of shards.
 
 A worker is a plain ``os.fork`` with one pipe: it pickles its result
 straight into the pipe, and the parent unpickles it from there, so
@@ -184,12 +183,16 @@ def _reap(pid, reader) -> int:
 
 
 def _fork_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, each call made in its own forked
-    worker process, and each result unpickled from the worker's pipe as
-    it arrives, in item order. The first call, in order, that raised
-    re-raises here; a worker that ends without a whole result is a
-    LexstableError naming its exit code. On failure the other workers
-    get SIGTERM. Every worker is reaped before this returns or raises."""
+    """``[fn(item) for item in items]`` for any iterable ``items``: a lone
+    item is called in this process, with no fork and no pipe; each of two
+    or more in its own forked worker, whose result is unpickled from its
+    pipe as it arrives, in item order. The first call, in order, that
+    raised re-raises here; a worker that ends without a whole result is a
+    LexstableError naming its exit code. On failure the other workers get
+    SIGTERM. Every worker is reaped before this returns or raises."""
+    items = list(items)
+    if len(items) == 1:
+        return [fn(items[0])]
     workers = {}  # pid -> the read end of its pipe, until reaped
     try:
         for item in items:
@@ -220,8 +223,8 @@ def map_authors(path, fn) -> list:
     order, each holding its texts alone (``iter_author_texts``); the
     skipped-record note follows the last author. Each author is read, and
     dropped, one at a time. A file of at least two ``_SHARD_BYTES`` is
-    cut at author changes into one shard per usable CPU, and each shard
-    is read in a forked worker; results, the note and errors do not
+    cut at author changes into one shard per usable CPU, and the shards
+    are read through ``_fork_map``; results, the note and errors do not
     depend on the number of shards."""
     shards = split_corpus(path, min(_usable_cpus(), os.path.getsize(path) // _SHARD_BYTES))
 
@@ -229,7 +232,7 @@ def map_authors(path, fn) -> list:
         tally = ParseResult()
         return [fn(corpus) for corpus in iter_author_texts(path, tally, shard)], tally.skipped
 
-    parts = _fork_map(read, shards) if len(shards) > 1 else [read(shards[0])]
+    parts = _fork_map(read, shards)
     skipped = sum(n for _, n in parts)
     if skipped:
         print(f"note: skipped {skipped} malformed record(s) in {path}", file=sys.stderr)
@@ -346,22 +349,19 @@ def cmd_renorm(args) -> None:
     print(fmt(mapped))
 
 
-def _write_authors(fh, spec, author_ids, jitter) -> int:
-    """Write the corpora of ``author_ids`` to the text file ``fh``, one
-    author at a time, keeping none; return their message count."""
+def _write_part(spec, jitter, shard) -> int:
+    """Write the corpora of a ``(author_ids, part)`` shard to the binary
+    file ``part``, one author at a time, keeping none; return their
+    message count. Run in-process, ``part`` is the caller's output or
+    part file, so the wrapper is detached, which flushes, not closed."""
+    author_ids, part = shard
+    fh = io.TextIOWrapper(part, encoding="utf-8", newline="\n")
     n_messages = 0
     for corpus in generate_authors(spec, author_ids, jitter):
         fh.writelines(map(canonical_line, corpus.messages))
         n_messages += corpus.total_messages
+    fh.detach()
     return n_messages
-
-
-def _write_part(spec, jitter, shard) -> int:
-    """A worker's ``_write_authors`` of its ``(author_ids, part)`` shard
-    into the binary part file the parent opened for it."""
-    author_ids, part = shard
-    with io.TextIOWrapper(part, encoding="utf-8", newline="\n") as fh:  # closes this process's copy only
-        return _write_authors(fh, spec, author_ids, jitter)
 
 
 def cmd_synth(args) -> None:
@@ -378,19 +378,16 @@ def cmd_synth(args) -> None:
     lo, hi = spec.msg_length
     tokens = args.authors * args.messages * (lo + hi) // 2
     n_shards = max(1, min(_usable_cpus(), args.authors, tokens // _SHARD_TOKENS))
-    if n_shards == 1:
-        with atomic_write(args.out) as fh:
-            n_messages = _write_authors(fh, spec, author_ids, args.jitter)
-    else:
-        shards = [author_ids[len(author_ids) * i // n_shards:len(author_ids) * (i + 1) // n_shards]
-                  for i in range(n_shards)]
-        with ExitStack() as stack:  # unlinked parts: a killed run leaves none behind
-            parts = [stack.enter_context(tempfile.TemporaryFile(dir=Path(args.out).parent)) for _ in shards]
-            n_messages = sum(_fork_map(partial(_write_part, spec, args.jitter), zip(shards, parts)))
-            with atomic_write(args.out) as fh:
-                for part in parts:
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh.buffer)
+    shards = [author_ids[len(author_ids) * i // n_shards:len(author_ids) * (i + 1) // n_shards]
+              for i in range(n_shards)]
+    with ExitStack() as stack:  # unlinked parts: a killed run leaves none behind
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=Path(args.out).parent)) for _ in shards[1:]]
+        with atomic_write(args.out) as fh:  # shard 0 goes straight into the output
+            n_messages = sum(_fork_map(partial(_write_part, spec, args.jitter), zip(shards, [fh.buffer, *parts])))
+            fh.buffer.seek(0, os.SEEK_END)  # a forked shard 0 moved the offset it shares with this process
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
     write_lexicon(companion_lexicon(spec), args.lexicon_out)
     print(f"generated {n_messages} message(s) for {args.authors} author(s)", file=sys.stderr)
 

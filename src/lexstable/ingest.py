@@ -597,8 +597,8 @@ def _author_runs(path, tally: ParseResult, shard: Shard, adapt, author_of) -> It
         for item in _parse_jsonl(lines, "other", adapt, tally):
             if (item_author := author_of(item)) != author:
                 if author is not None and item_author < author:
-                    fh.seek(0)
-                    line = fh.read(shard.start).count(b"\n") + tally.lines
+                    fh.seek(0)  # the lines before the shard, one at a time
+                    line = sum(1 for _ in _upto(fh, shard.start)) + tally.lines
                     raise CorpusOrderError(
                         f"{path}:{line}: author_id {item_author!r} sorts below the "
                         f"previous author {author!r}; corpus lines must be grouped "

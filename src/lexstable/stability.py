@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import IneligibleAuthorError, PlanError, StatsError
 from .ingest import AuthorCorpus, Message
-from .lexicon import Lexicon, count_matrix
+from .lexicon import Lexicon, count_matrix, tokenize
 from .rng import PACKED_COLUMNS, derive_seed, packed_smallest, stable_smallest, uniform_keys
 from .stats import PopulationStats
 from .traits import TraitModel, project, weight_matrix
@@ -114,13 +114,13 @@ class StabilityCurve:
     points: list[VariabilityPoint]
 
 
-def _unit_weights(messages: Sequence[Message], unit: str) -> np.ndarray:
-    """Each message's weight in ``unit``: 1 per message, or its word count.
-    Unit weights are a read-only broadcast view, so no array is made
-    for them."""
+def _unit_weights(messages: Sequence[Message | str], unit: str) -> np.ndarray:
+    """Each message's weight in ``unit``: 1 per message, or its word count
+    (``tokenize``'s of a plain text). Unit weights are a read-only
+    broadcast view, so no array is made for them."""
     if unit == "messages":
         return np.broadcast_to(np.int64(1), len(messages))
-    return np.array([m.word_count for m in messages], dtype=np.int64)
+    return np.array([len(tokenize(m)) if isinstance(m, str) else m.word_count for m in messages], dtype=np.int64)
 
 
 def _full_range(weights: np.ndarray, plan: SubsamplePlan, author_id: str) -> slice:

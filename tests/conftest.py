@@ -47,12 +47,13 @@ sys.exit(code)
 """
 
 
-def cli_peak_mb(*argv) -> float:
-    """Run the CLI with ``argv`` in a child process and return the peak
-    RSS, in MB, of the largest process of the command: the child's own
-    (``VmHWM``) or a worker's it forked. Linux only."""
+def cli_peak_mb(*argv, code=0) -> float:
+    """Run the CLI with ``argv`` in a child process, check that it exits
+    with ``code``, and return the peak RSS, in MB, of the largest process
+    of the command: the child's own (``VmHWM``) or a worker's it forked.
+    Linux only."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *map(str, argv)],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return int(proc.stderr.splitlines()[-1]) / 1024  # both are in kB

@@ -8,18 +8,22 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lexstable import cli as cli_module
 from lexstable import lexicon as lexicon_module
 from lexstable import synth as synth_module
 from lexstable.cli import build_parser, main
 from lexstable.errors import LexstableError, PlanError
-from lexstable.ingest import Message, build_author_corpora, read_corpus, split_corpus, write_corpus
+from lexstable.ingest import Message, build_author_corpora, canonical_line, read_corpus, write_corpus
 from lexstable.lexicon import load_lexicon, score_features, tokenize, write_lexicon
 from lexstable.report import fmt, write_comparison_csv
 from lexstable.stats import PopulationStats, compare_media, save_stats_json
@@ -931,37 +935,47 @@ def _assert_every_child_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _force_shards(monkeypatch, n):
-    """Cut every corpus into up to ``n`` shards, one worker each, on any
-    host. Returns the list that receives each corpus's shard count."""
-    counts = []
+_FORK = cli_module._fork
 
-    def split(path, shards):
-        result = split_corpus(path, shards)
-        counts.append(len(result))
-        return result
+
+def _force_shards(monkeypatch, n):
+    """Cut every corpus and every synth population into up to ``n``
+    shards on any host. Returns the list that receives one item per
+    worker forked (see ``_workers``)."""
+    forks = []
+
+    def fork(fn, item):
+        forks.append(item)
+        return _FORK(fn, item)
 
     monkeypatch.setattr(cli_module, "_SHARD_BYTES", 1)
+    monkeypatch.setattr(cli_module, "_SHARD_TOKENS", 1)
     monkeypatch.setattr(cli_module, "_usable_cpus", lambda: n)
-    monkeypatch.setattr(cli_module, "split_corpus", split)
-    return counts
+    monkeypatch.setattr(cli_module, "_fork", fork)
+    return forks
+
+
+def _workers(shards, runs=1):
+    """The workers that ``runs`` fan-outs of ``shards`` shards each fork:
+    none for one shard, which runs in the calling process."""
+    return runs * shards if shards > 1 else 0
 
 
 # one shard is the golden test itself
 @pytest.mark.parametrize("shards", [2, 3])
 @pytest.mark.parametrize("case", sorted(GOLDEN_CURVES))
 def test_golden_curves_do_not_depend_on_the_shard_count(tmp_path, monkeypatch, case, shards):
-    counts = _force_shards(monkeypatch, shards)
+    forks = _force_shards(monkeypatch, shards)
     test_stability_curves_match_their_golden_digests(tmp_path, case)
-    assert counts == [shards]
+    assert len(forks) == _workers(shards, runs=2)  # synth, then stability
     _assert_every_child_reaped()
 
 
 @pytest.mark.parametrize("shards", [2, 3])
 def test_scoring_commands_write_the_per_author_api_in_any_shard_count(tmp_path, monkeypatch, shards):
-    counts = _force_shards(monkeypatch, shards)
+    forks = _force_shards(monkeypatch, shards)
     test_scoring_commands_write_what_the_per_author_api_gives(tmp_path)
-    assert set(counts) == {shards}
+    assert len(forks) == _workers(shards, runs=10)  # two synth runs, eight corpus reads
     _assert_every_child_reaped()
 
 
@@ -989,9 +1003,9 @@ def test_outputs_notes_and_manifest_do_not_depend_on_the_shard_count(tmp_path, s
     argv = _scoring_argv(command, padded, out_dir, "--lexicon", lexicon, *_SHARDED_FLAGS[command](model, out_dir))
     seen = {}
     for shards in (1, 2, 3):
-        counts = _force_shards(monkeypatch, shards)
+        forks = _force_shards(monkeypatch, shards)
         assert run(*argv) == 0
-        assert counts == [shards] * (2 if command == "compare" else 1)
+        assert len(forks) == _workers(shards, runs=2 if command == "compare" else 1)
         _assert_every_child_reaped()
         captured = capsys.readouterr()
         seen[shards] = captured.out, captured.err, {f.name: f.read_bytes() for f in out_dir.iterdir()}
@@ -1021,15 +1035,93 @@ def test_an_order_error_does_not_depend_on_the_shard_count(tmp_path, synth_files
         unsorted.write_text("\n".join(case) + "\n")
         errors = set()
         for shards in (1, 2, 3):
-            _force_shards(monkeypatch, shards)
+            forks = _force_shards(monkeypatch, shards)
             out_dir = tmp_path / f"{name}-{shards}"
             assert _run_streaming(command, unsorted, lexicon, out_dir) == 1
+            assert len(forks) == _workers(shards)  # compare fails on its first corpus
             assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
             _assert_every_child_reaped()
             errors.add(capsys.readouterr().err)
         assert len(errors) == 1
         line = len(lines) + 1 if name == "last" else int(name[4:]) * 60 + 61
         assert f"{unsorted}:{line}: author_id " in errors.pop()
+
+
+_WORDS = ("i", "you", "we", "happy", "sad", "hate", "friends", "talking", "think", "job", "meeting", "zebra")
+
+
+@st.composite
+def _mutated(draw, line: bytes) -> bytes:
+    """``line``, a canonical corpus line, kept or broken in one of the
+    ways a corpus file is: a field of the wrong type, a lone surrogate,
+    an impossible date, a truncation, a NUL, a BOM or a CR."""
+    how = draw(st.just("keep") | st.sampled_from(["type", "surrogate", "date", "truncate", "nul", "bom", "cr"]))
+    at = draw(st.integers(0, len(line) - 1))
+    raw = {"keep": line, "truncate": line[:at], "nul": line[:at] + b"\0" + line[at:], "bom": b"\xef\xbb\xbf" + line,
+           "cr": line[:at] + b"\r" + line[at:]}
+    if how in raw:
+        return raw[how]
+    record = json.loads(line)
+    if how == "type":
+        record[draw(st.sampled_from(sorted(record)))] = draw(st.sampled_from([1, 2.5, True, None, [], {}, ["a1"]]))
+    elif how == "surrogate":
+        field = draw(st.sampled_from(["author_id", "medium", "text"]))
+        record[field] = record[field][:at] + "\ud800" + record[field][at:]
+    else:
+        record["timestamp"] = draw(st.sampled_from(
+            ["2014-02-30T00:00:00Z", "2013-02-29T12:00:00Z", "2014-13-01T00:00:00Z", "0000-01-01T00:00:00Z"]))
+    return (json.dumps(record) + "\n").encode()
+
+
+@st.composite
+def _fuzzed_corpora(draw) -> bytes:
+    """Up to four authors' canonical lines, in author order, each line
+    kept or broken by ``_mutated``."""
+    lines = []
+    for author in range(draw(st.integers(1, 4))):
+        for minute in range(draw(st.integers(0, 8))):
+            text = " ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=5)))
+            stamp = datetime(2014, 3, 1, 12, minute, tzinfo=timezone.utc)
+            line = canonical_line(Message(f"a{author}", stamp, "twitter", text)).encode()
+            lines.append(draw(_mutated(line)))
+    return b"".join(lines)
+
+
+_FUZZED_COMMANDS = {
+    "score": lambda corpus, out_dir: ["score", "--corpus", corpus, "--lexicon", data_path("demo.dic"),
+                                      "--out", out_dir / "out.csv", "--stats-out", out_dir / "stats.json"],
+    "stability": lambda corpus, out_dir: ["stability", "--corpus", corpus, "--lexicon", data_path("demo.dic"),
+                                          "--base", 2, "--sizes", "1", "--out", out_dir / "out.csv"],
+}
+
+
+@given(_fuzzed_corpora())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_broken_corpus_fails_or_passes_alike_in_any_shard_count(tmp_path, capsys, data):
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    corpus = case / "corpus.jsonl"
+    corpus.write_bytes(data)
+    for command, argv in _FUZZED_COMMANDS.items():
+        out_dir = case / command
+        out_dir.mkdir()
+        seen = set()
+        for shards in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                _force_shards(patch, shards)
+                code = run(*map(str, argv(corpus, out_dir)))
+            _assert_every_child_reaped()
+            captured = capsys.readouterr()
+            files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+            assert code in (0, 1, 2)
+            if code:
+                assert [line.startswith("error: ") for line in captured.err.splitlines()].count(True) == 1
+                assert files == {}  # no output, no run_manifest.json
+            else:
+                assert "run_manifest.json" in files
+            seen.add((code, captured.out, captured.err, tuple(sorted(files.items()))))
+            for f in out_dir.iterdir():
+                f.unlink()
+        assert len(seen) == 1, (command, seen)
 
 
 def test_a_worker_that_dies_fails_the_command(tmp_path, synth_files, monkeypatch, capsys):
@@ -1041,10 +1133,11 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, synth_files, monkeypatch
             os._exit(3)
         return score(corpus, *args, **kwargs)
 
-    _force_shards(monkeypatch, 3)
+    forks = _force_shards(monkeypatch, 3)
     monkeypatch.setattr(cli_module, "_score_author", dying)
     out_dir = tmp_path / "out"
     assert _run_streaming("score", corpus, lexicon, out_dir) == 1
+    assert len(forks) == 3
     assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
     assert list(out_dir.iterdir()) == []
     _assert_every_child_reaped()
@@ -1063,10 +1156,11 @@ def test_a_worker_whose_result_cannot_be_pickled_fails_the_command(tmp_path, syn
             return bytes(1 << 20), lambda: None  # a megabyte reaches the pipe before the lambda fails
         return score(corpus, *args, **kwargs)
 
-    _force_shards(monkeypatch, 3)
+    forks = _force_shards(monkeypatch, 3)
     monkeypatch.setattr(cli_module, "_score_author", unsendable)
     out_dir = tmp_path / "out"
     assert _run_streaming("score", corpus, lexicon, out_dir) == 1
+    assert len(forks) == 3
     assert capsys.readouterr().err == "error: a worker process exited with code 1 before sending its result\n"
     assert list(out_dir.iterdir()) == []
     _assert_every_child_reaped()
@@ -1091,24 +1185,23 @@ def test_a_sharded_stability_run_keeps_no_bookkeeping_on_its_peak(tmp_path):
     assert peak - imports < 3.4, (peak, imports)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs to shard; reads VmHWM from /proc")
+def test_an_order_error_in_the_last_shard_holds_no_earlier_shard(tmp_path, synth_files):
+    corpus, lexicon = synth_files
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    unsorted = tmp_path / "unsorted.jsonl"  # 32 MiB of blank lines, then the "last" case
+    unsorted.write_bytes(b"".join([b" " * (1 << 20) + b"\n"] * 32 + lines[1:] + [b"\n", lines[0]]))
+    imports = cli_peak_mb("score", "--help")
+    peak = cli_peak_mb("score", "--corpus", unsorted, "--lexicon", lexicon, "--out", tmp_path / "out.csv", code=1)
+    # Above the imports' peak (33.6 MB on x86-64 Linux): 1.7-1.9 MB, one
+    # blank line's bytes and text, when the second shard's worker counts
+    # the lines before its shard one at a time to name the failing line;
+    # 22.4-22.6 MB when it reads them all at once.
+    assert peak - imports < 5.0, (peak, imports)
+
+
 # --- a large synth population is generated in forked workers --------------
-
-def _force_synth_shards(monkeypatch, n):
-    """Cut every synth population into up to ``n`` shards, one worker
-    each, on any host. Returns the list that receives each forked run's
-    shard count; a population of one shard forks nothing and adds none."""
-    counts = []
-
-    def fork_map(fn, items, fork=cli_module._fork_map):
-        items = list(items)
-        counts.append(len(items))
-        return fork(fn, items)
-
-    monkeypatch.setattr(cli_module, "_SHARD_TOKENS", 1)
-    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: n)
-    monkeypatch.setattr(cli_module, "_fork_map", fork_map)
-    return counts
-
 
 _SYNTH_CASES = {
     "drift-off": (6, ["--messages", 40, "--msg-len-min", 1, "--msg-len-max", 9]),
@@ -1126,9 +1219,9 @@ def test_synth_does_not_depend_on_the_shard_count(tmp_path, monkeypatch, capsys,
             "--out", tmp_path / "c.jsonl", "--lexicon-out", tmp_path / "l.dic"]
     seen = {}
     for shards in (1, 2, 3):
-        counts = _force_synth_shards(monkeypatch, shards)
+        forks = _force_shards(monkeypatch, shards)
         assert run(*map(str, argv)) == 0
-        assert counts == ([shards] if shards > 1 else [])
+        assert len(forks) == _workers(shards)
         _assert_every_child_reaped()
         captured = capsys.readouterr()
         seen[shards] = captured.out, captured.err, {f.name: f.read_bytes() for f in tmp_path.iterdir()}
@@ -1142,9 +1235,9 @@ def test_a_synth_rate_error_names_the_same_first_author_in_any_shard_count(tmp_p
     argv = ["synth", "--authors", "9", "--messages", "5", "--categories", "1", "--seed", "9",
             "--jitter", "800", "--out", str(tmp_path / "c.jsonl"), "--lexicon-out", str(tmp_path / "l.dic")]
     for shards in (1, 2, 3):
-        counts = _force_synth_shards(monkeypatch, shards)
+        forks = _force_shards(monkeypatch, shards)
         assert run(*argv) == 2
-        assert counts == ([shards] if shards > 1 else [])
+        assert len(forks) == _workers(shards)
         assert capsys.readouterr().err == (
             "error: rate_jitter 800.0 makes a rate of author0003 zero or not a finite number\n")
         assert list(tmp_path.iterdir()) == []
@@ -1161,12 +1254,12 @@ def test_a_synth_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsy
             os._exit(3)
         return generate_author(spec, author_id, rates=rates)
 
-    counts = _force_synth_shards(monkeypatch, shards)
+    forks = _force_shards(monkeypatch, shards)
     monkeypatch.setattr(synth_module, "generate_author", dying)
     assert run("synth", "--authors", "7", "--messages", "25",
                "--out", str(tmp_path / "c.jsonl"), "--lexicon-out", str(tmp_path / "l.dic")) == 1
     assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
-    assert counts == [shards]
+    assert len(forks) == shards
     assert list(tmp_path.iterdir()) == []
     _assert_every_child_reaped()
 

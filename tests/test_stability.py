@@ -69,11 +69,29 @@ def test_full_sample_latest_and_earliest():
     assert [m.timestamp for m in earliest] == [m.timestamp for m in c.messages[:4]]
 
 
-def test_full_sample_words_includes_crossing_message():
-    c = corpus(10, words_per_message=3)
-    sample = full_sample(c, plan(unit="words", base=10, sizes=(5,)))
+def _texts(c: AuthorCorpus) -> AuthorCorpus:
+    """``c`` as ``iter_author_texts`` reads it: each message's text alone."""
+    return AuthorCorpus(c.author_id, c.medium, [m.text for m in c.messages])
+
+
+def _numbered(n_messages, words_per_message=3):
+    """A corpus whose messages each end with their own word, so every
+    text is distinct: ``w ... w m<letters of i>``."""
+    c = corpus(n_messages, words_per_message - 1)
+    for i, m in enumerate(c.messages):
+        m.text += " m" + "".join(chr(ord("a") + int(d)) for d in str(i))
+    return c
+
+
+@pytest.mark.parametrize("form", ["messages", "texts"])
+def test_full_sample_words_includes_crossing_message(form):
+    c = _numbered(10)
+    p = plan(unit="words", base=10, sizes=(5,))
+    sample = full_sample(c, p)
     assert sum(m.word_count for m in sample) == 12  # 4 messages x 3 words
     assert len(sample) == 4
+    if form == "texts":
+        assert full_sample(_texts(c), p) == [m.text for m in sample]
 
 
 def test_full_sample_ineligible():
@@ -117,10 +135,13 @@ def test_blocks_disjoint_chronological_within_full():
     assert blocks[0][0].timestamp == full[0].timestamp
 
 
-def test_contiguous_word_blocks_cross_then_stop():
-    c = corpus(40, words_per_message=3)
+@pytest.mark.parametrize("form", ["messages", "texts"])
+def test_contiguous_word_blocks_cross_then_stop(form):
+    c = _numbered(40)
     p = plan(unit="words", base=60, sizes=(10,))
     blocks = make_subsamples(c, p, 10, 1)
+    if form == "texts":
+        assert make_subsamples(_texts(c), p, 10, 1) == [[m.text for m in b] for b in blocks]
     # target floor(60/10) = 6, but each block overshoots to 12 words, so
     # the 20-message full sample yields 5 full blocks
     assert len(blocks) == 5
