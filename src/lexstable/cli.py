@@ -49,13 +49,14 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_write
-from .errors import EmptySampleError, LexstableError, PlanError
+from .errors import LexstableError, PlanError
 from .ingest import (
     ParseResult, canonical_line, iter_author_texts, parse_messages, split_corpus, write_corpus, FORMATS,
 )
 from .ingest import build_author_corpora  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .ingest import read_corpus  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
-from .lexicon import load_lexicon, score_features, write_lexicon
+from .lexicon import count_matrix, load_lexicon, write_lexicon
+from .lexicon import score_features  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .report import (
     comparison_svg, curves_svg, fmt, write_comparison_csv, write_curves_csv, write_svg,
 )
@@ -241,19 +242,20 @@ def map_authors(path, fn) -> list:
 
 def _score_author(corpus, lexicon, args):
     """One author's ``(author_id, medium, messages, tokens)`` and its
-    frequencies in lexicon order, if it has at least ``args.min_messages``
-    messages (fewer are never tokenized) and ``args.min_words`` tokens
-    (and at least one); False if it has no tokens and ``args.min_words``
-    is 0, an author to note as dropped; None otherwise."""
+    frequencies in lexicon order (the column sums of its ``count_matrix``
+    per 100 tokens), if it has at least ``args.min_messages`` messages
+    (fewer are never tokenized) and ``args.min_words`` tokens (and at
+    least one); False if it has no tokens and ``args.min_words`` is 0, an
+    author to note as dropped; None otherwise."""
     if corpus.total_messages < args.min_messages:
         return None
-    try:
-        fv = score_features(corpus.messages, lexicon)
-    except EmptySampleError:
+    counts, words = count_matrix(corpus.messages, lexicon)
+    total = int(words.sum())
+    if total == 0:
         return False if args.min_words == 0 else None  # otherwise no tokens is below the threshold
-    if fv.total_tokens < args.min_words:
+    if total < args.min_words:
         return None
-    return (corpus.author_id, corpus.medium, corpus.total_messages, fv.total_tokens), list(fv.frequencies.values())
+    return (corpus.author_id, corpus.medium, corpus.total_messages, total), 100.0 * counts.sum(axis=0) / total
 
 
 def _score_table(path, lexicon, model, args):
@@ -293,6 +295,8 @@ def cmd_score(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.command == "traits" else None
     names, authors, values = _score_table(args.corpus, lexicon, model, args)
+    if args.stats_out and not authors:
+        raise LexstableError(f"--corpus {args.corpus}: kept 0 author(s); --stats-out needs at least 1")
     # built before any write, so a column without values leaves no file
     stats = PopulationStats(dict(zip(names, values.T))) if args.stats_out else None
     counts = model is None
@@ -311,8 +315,10 @@ def cmd_compare(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     model = load_trait_model(args.model) if args.model else None
     tables = []
-    for path in (args.corpus_a, args.corpus_b):
-        names, _, values = _score_table(path, lexicon, model, args)
+    for flag, path in (("--corpus-a", args.corpus_a), ("--corpus-b", args.corpus_b)):
+        names, authors, values = _score_table(path, lexicon, model, args)
+        if len(authors) < 2:
+            raise LexstableError(f"{flag} {path}: kept {len(authors)} author(s); compare needs at least 2 per side")
         tables.append(dict(zip(names, values.T)))
     rows = compare_media(*tables, baseline=args.baseline)
     write_comparison_csv(rows, args.out)

@@ -17,17 +17,19 @@ match whole tokens. U+2019 in an entry word reads as ``'``, as it does
 in tokens. An entry may list several category ids. Lines whose
 first non-blank character is ``#`` and blank lines are ignored.
 
-Counting: ``count_matrix`` and ``score_features`` tokenize the sample's
-lowered messages joined by the sentinel ``" A "`` (``str.lower`` never
-yields an ASCII ``A``) in one pass. When the lowered text is ASCII
-(U+212A lowers to ``k``, U+0130 to two code points), one
-``str.translate`` turns every character but ``a``-``z``, ``'`` and the
-sentinel into a space, an apostrophe not between two letters becomes a
-space, and ``str.split`` gives the tokens; other text goes through one
-``findall`` of the token pattern. Tokens index an incidence matrix with
-one row per distinct category pattern, so every dictionary miss shares
-one zero row; a token goes through ``Lexicon.lookup`` once, when first
-seen.
+Counting: one kernel, ``count_matrix``, counts every command's text;
+``score_features`` sums its rows. It tokenizes the sample's lowered
+messages joined by the sentinel ``" A "`` (``str.lower`` never yields an
+ASCII ``A``) in one pass. When the lowered text is ASCII (U+212A lowers
+to ``k``, U+0130 to two code points), one ``str.translate`` turns every
+character but ``a``-``z``, ``'`` and the sentinel into a space, an
+apostrophe not between two letters becomes a space, and ``str.split``
+gives the tokens; other text goes through one ``findall`` of the token
+pattern. Each token maps to a vocabulary row, one per distinct category
+pattern, so every dictionary miss shares one empty row; a token goes
+through ``Lexicon.lookup`` once, when first seen. Each token then gives
+one (message, category) cell per category of its row, and one
+``np.bincount`` of the cells gives the exact integer counts.
 """
 
 from __future__ import annotations
@@ -100,14 +102,16 @@ class Lexicon:
 
 
 class _Vocabulary(dict):
-    """Token -> row of ``incidence`` (int32, one column per declared
-    category): row 0 is every miss's and row 1 the sentinel's, both zero;
-    each other row is one distinct category pattern."""
+    """Token -> row: row 0 is every miss's and row 1 the sentinel's, both
+    without categories; each other row is one distinct category pattern.
+    In CSR form, row r's ``sizes[r]`` column indices, in declared order,
+    are ``columns[first[r]:first[r] + sizes[r]]``."""
 
     def __init__(self, lexicon: Lexicon):
         super().__init__(A=_SENTINEL_ROW)
         self.lexicon, self.rows = lexicon, {(): 0}
-        self.incidence = np.zeros((2, len(lexicon.categories)), dtype=np.int32)
+        self.first = self.sizes = np.zeros(2, dtype=np.intp)
+        self.columns = np.zeros(0, dtype=np.intp)
 
     def __missing__(self, token: str) -> int:
         row = self[token] = self.rows.setdefault(self.lexicon.lookup(token), len(self.rows) + 1)
@@ -115,14 +119,16 @@ class _Vocabulary(dict):
 
     def encode(self, messages) -> np.ndarray:
         """Row ids of every token of ``messages``, each message's followed
-        by the sentinel's; ``incidence`` grows to cover new rows."""
+        by the sentinel's; ``sizes``, ``first`` and ``columns`` grow to cover
+        new rows."""
         tokens = _tokens(messages)
         ids = np.fromiter(map(self.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        if len(self.incidence) <= len(self.rows):
+        if len(self.sizes) <= len(self.rows):
             col = {cid: j for j, cid in enumerate(self.lexicon.category_ids)}
-            self.incidence = np.zeros((len(self.rows) + 1, len(col)), dtype=np.int32)
-            for pattern, row in self.rows.items():
-                self.incidence[row, [col[cid] for cid in pattern]] = 1
+            patterns = [(), *self.rows]  # the miss row's and the sentinel's (), then the rest in row order
+            self.sizes = np.array([len(pattern) for pattern in patterns], dtype=np.intp)
+            self.first = np.cumsum(self.sizes) - self.sizes
+            self.columns = np.array([col[cid] for pattern in patterns for cid in pattern], dtype=np.intp)
         return ids
 
 
@@ -262,33 +268,47 @@ def _tokens(messages) -> list[str]:
 
 
 def score_features(messages, lexicon: Lexicon) -> FeatureVector:
-    """Score concatenated messages against the lexicon.
+    """Score concatenated messages against the lexicon: the column sums
+    of ``count_matrix``.
 
     Accepts Message objects or plain strings. Raises EmptySampleError
     when the sample tokenizes to nothing.
     """
-    vocabulary = lexicon._vocabulary
-    ids = vocabulary.encode(messages)
-    total = int(np.count_nonzero(ids != _SENTINEL_ROW))
+    M, words = count_matrix(messages, lexicon)
+    total = int(words.sum())
     if total == 0:
         raise EmptySampleError("sample contains no tokens")
-    hits = np.bincount(ids, minlength=len(vocabulary.incidence)) @ vocabulary.incidence
-    counts = dict(zip(lexicon.category_ids, hits.tolist()))
+    counts = dict(zip(lexicon.category_ids, M.sum(axis=0).tolist()))
     frequencies = {cid: 100.0 * c / total for cid, c in counts.items()}
     return FeatureVector(counts=counts, total_tokens=total, frequencies=frequencies)
 
 
 def count_matrix(messages, lexicon: Lexicon):
-    """Per-message category counts for bulk scoring.
+    """Per-message category counts, the one counting kernel.
 
     Returns ``(M, w)`` where ``M[i, j]`` (int32) counts hits of message
     ``i`` in the lexicon's j-th declared category and ``w[i]`` is the
-    message's token count. Summing rows of a subset reproduces
-    score_features on that subset exactly (integer arithmetic).
+    message's token count. Each token with categories gives one cell,
+    ``i * categories + j``, per category of its row, and one
+    ``np.bincount`` of the cells counts them: exact integers, with a
+    transient that grows with the dictionary hits, not with tokens x
+    categories. Summing rows of a subset scores that subset.
     """
-    ids = lexicon._vocabulary.encode(messages)
-    ends = np.flatnonzero(ids == _SENTINEL_ROW)
+    vocabulary = lexicon._vocabulary
+    ids = vocabulary.encode(messages)
+    last = ids == _SENTINEL_ROW
+    ends = np.flatnonzero(last)
     w = np.diff(ends, prepend=-1) - 1
-    # Each message's run ends with its sentinel, whose zero row keeps an
-    # empty message's run non-empty.
-    return np.add.reduceat(lexicon._vocabulary.incidence[ids], ends - w, axis=0, dtype=np.int32), w
+    k = len(lexicon.categories)
+    sizes = vocabulary.sizes[ids]  # 0 for a miss or a sentinel, which np.repeat drops
+    # the c-th cell of a token takes the column at first[row] + c
+    cells = vocabulary.first[ids]
+    cells += sizes
+    cells -= np.cumsum(sizes)
+    cells = np.repeat(cells, sizes)
+    cells += np.arange(len(cells))
+    cells = vocabulary.columns[cells]
+    offsets = np.cumsum(last)  # the sentinels before a token: its message
+    offsets *= k
+    cells += np.repeat(offsets, sizes)
+    return np.bincount(cells, minlength=len(ends) * k).reshape(len(ends), k).astype(np.int32), w

@@ -158,7 +158,8 @@ def generate_author(
     """Generate one author's corpus, fully determined by
     (spec.seed, author_id). Timestamps advance at fixed one-minute
     intervals from a constant epoch. ``rates`` overrides
-    spec.base_rates (used by iter_population)."""
+    spec.base_rates (``generate_authors`` passes each author's jittered
+    rates)."""
     k = spec.n_categories
     v = spec.vocab_per_category
     n = spec.n_messages
@@ -212,21 +213,11 @@ def generate_authors(
         yield generate_author(spec, author_id, rates=author_rates(spec, author_id, rate_jitter))
 
 
-def iter_population(
-    spec: SyntheticSpec,
-    n_authors: int,
-    rate_jitter: float = 0.0,
-) -> Iterator[AuthorCorpus]:
-    """The corpora of the ``population_ids`` of ``n_authors`` authors,
-    through ``generate_authors``."""
-    return generate_authors(spec, population_ids(n_authors), rate_jitter)
-
-
 def generate_population(
     spec: SyntheticSpec,
     n_authors: int,
     rate_jitter: float = 0.0,
 ) -> tuple[list[AuthorCorpus], Lexicon]:
-    """Every corpus of ``iter_population``, in its order, and the
-    companion lexicon."""
-    return list(iter_population(spec, n_authors, rate_jitter)), companion_lexicon(spec)
+    """The corpora of the ``population_ids`` of ``n_authors`` authors, in
+    that order, and the companion lexicon."""
+    return list(generate_authors(spec, population_ids(n_authors), rate_jitter)), companion_lexicon(spec)

@@ -36,24 +36,48 @@ def fixture_path(name: str) -> pathlib.Path:
 # spawned it, here the whole test session. A command that forks workers
 # has reaped them when main returns, so RUSAGE_CHILDREN holds the
 # largest worker's peak, and the larger of the two is the command's.
+# A worker starts below the command's own import peak, so that peak can
+# hide a worker's growth. The child therefore also reads its own VmRSS
+# just before each fork; the largest worker's peak minus the largest of
+# those sizes is a lower bound on the largest worker's growth. It reads
+# about 4 MB low: the file pages the command has mapped are not copied
+# into a forked worker's page tables, so the worker starts smaller.
 _PEAK_CHILD = """import resource
 import sys
-from lexstable.cli import main
-code = main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    own = int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
-print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss), file=sys.stderr)
+from lexstable import cli
+
+def status_kb(field):
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith(field)).split()[1])
+
+at_fork = []
+fork = cli._fork
+def sized_fork(fn, item):
+    at_fork.append(status_kb("VmRSS:"))
+    return fork(fn, item)
+cli._fork = sized_fork
+code = cli.main(sys.argv[1:])
+workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(max(status_kb("VmHWM:"), workers), max(0, workers - max(at_fork)) if at_fork else 0, file=sys.stderr)
 sys.exit(code)
 """
 
 
-def cli_peak_mb(*argv, code=0) -> float:
+def cli_peaks_mb(*argv, code=0) -> tuple[float, float]:
     """Run the CLI with ``argv`` in a child process, check that it exits
-    with ``code``, and return the peak RSS, in MB, of the largest process
-    of the command: the child's own (``VmHWM``) or a worker's it forked.
-    Linux only."""
+    with ``code``, and return, in MB, the peak RSS of the largest process
+    of the command (the child's own ``VmHWM`` or a worker's it forked)
+    and a lower bound on the largest worker's growth past its size at
+    the fork (0 when no worker was forked). Linux only."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *map(str, argv)],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
-    return int(proc.stderr.splitlines()[-1]) / 1024  # both are in kB
+    peak, growth = map(int, proc.stderr.splitlines()[-1].split())
+    return peak / 1024, growth / 1024  # both are in kB
+
+
+def cli_peak_mb(*argv, code=0) -> float:
+    """The first figure of ``cli_peaks_mb``: the peak RSS, in MB, of the
+    largest process of the command."""
+    return cli_peaks_mb(*argv, code=code)[0]

@@ -30,7 +30,7 @@ from lexstable.stats import PopulationStats, compare_media, save_stats_json
 from lexstable.synth import SyntheticSpec, generate_population
 from lexstable.traits import infer_traits, load_trait_model
 
-from conftest import cli_peak_mb, data_path, fixture_path
+from conftest import cli_peak_mb, cli_peaks_mb, data_path, fixture_path
 
 
 def run(*argv):
@@ -196,10 +196,12 @@ def test_stability_memory_does_not_grow_with_messages_times_categories(tmp_path)
                        "--sizes", "20,50,100,200,500,1000", "--seed", 5, "--out", tmp_path / "curves.csv")
     # Above the imports' peak (34.1 MB on x86-64 Linux): 34.8-35.7 MB
     # when every author's per-message counts were kept to the last size,
-    # 22.8 MB when only each author's values are. The bound lies between.
-    # On two or more CPUs the 15 MB corpus is read by two workers, and the
-    # larger of the parent's and the largest worker's peaks is 13.9-14.1 MB;
-    # counts kept to the last size reach the parent and read 47 MB.
+    # 22.8 MB when only each author's values are (14.7 MB since the count
+    # kernel bincounts cells instead of gathering a tokens x categories
+    # array). The bound lies between. On two or more CPUs the 15 MB corpus
+    # is read by two workers, and the larger of the parent's and the
+    # largest worker's peaks is 13.9-14.1 MB (10.9-11.0 MB with the cell
+    # kernel); counts kept to the last size reach the parent and read 47 MB.
     assert peak - imports < 29.0, (peak, imports)
 
 
@@ -350,8 +352,32 @@ def test_stats_that_cannot_be_built_write_nothing(tmp_path, capsys, command, nam
     model_flags = ["--model", model] if command == "traits" else []
     assert run(*_scoring_argv(command, corpus, out_dir, "--lexicon", data_path("toy.dic"), *model_flags,
                               "--stats-out", out_dir / "stats.json")) == 1
-    assert f"error: no values for {name!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: --corpus {corpus}: kept 0 author(s); --stats-out needs at least 1\n" in err
+    assert f"no values for {name!r}" not in err  # the cause, not the first column
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_too_few_kept_authors_name_the_corpus_and_the_need(tmp_path, capsys, command):
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("not json\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    lexicon = data_path("demo.dic")
+    if command == "score":
+        argv = _scoring_argv("score", broken, out_dir, "--lexicon", lexicon, "--stats-out", out_dir / "stats.json")
+        want = f"error: --corpus {broken}: kept 0 author(s); --stats-out needs at least 1"
+    else:
+        argv = _scoring_argv("compare", broken, out_dir, "--lexicon", lexicon)
+        want = f"error: --corpus-a {broken}: kept 0 author(s); compare needs at least 2 per side"
+    assert run(*argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [want]
+    assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
+    if command == "score":  # without --stats-out, no author is a header-only CSV
+        assert run(*_scoring_argv("score", broken, out_dir, "--lexicon", lexicon)) == 0
+        assert (out_dir / "out.csv").read_text().count("\n") == 1
 
 
 @pytest.mark.parametrize("bad", ["missing/x", "is-a-directory"])
@@ -1173,9 +1199,9 @@ def test_a_sharded_stability_run_keeps_no_bookkeeping_on_its_peak(tmp_path):
     assert run("synth", "--authors", "40", "--messages", "2000", "--seed", "5",
                "--out", str(corpus), "--lexicon-out", str(lexicon)) == 0
     imports = cli_peak_mb("stability", "--help")
-    peak = cli_peak_mb("stability", "--corpus", corpus, "--lexicon", lexicon,
-                       "--unit", "messages", "--mode", "both", "--base", 2000,
-                       "--sizes", "20,50,100,200,500,1000", "--seed", 5, "--out", tmp_path / "curves.csv")
+    peak, growth = cli_peaks_mb("stability", "--corpus", corpus, "--lexicon", lexicon,
+                                "--unit", "messages", "--mode", "both", "--base", 2000,
+                                "--sizes", "20,50,100,200,500,1000", "--seed", 5, "--out", tmp_path / "curves.csv")
     # Above the imports' peak (33.6 MB on x86-64 Linux), for this 14 MB
     # corpus in two shards: 2.8-2.9 MB when the input digest reads through
     # one 64 KiB buffer and each worker's result is unpickled from its
@@ -1183,6 +1209,10 @@ def test_a_sharded_stability_run_keeps_no_bookkeeping_on_its_peak(tmp_path):
     # when the workers are multiprocessing processes that send whole
     # pickled messages; 5.7-5.9 MB with both.
     assert peak - imports < 3.4, (peak, imports)
+    # The largest worker's peak is 2.9 MB below the command's size at the
+    # fork, so its growth reads 0; a worker that grows about 4 MB more
+    # fails here, below the imports' peak.
+    assert growth < 1.0, growth
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -1193,12 +1223,16 @@ def test_an_order_error_in_the_last_shard_holds_no_earlier_shard(tmp_path, synth
     unsorted = tmp_path / "unsorted.jsonl"  # 32 MiB of blank lines, then the "last" case
     unsorted.write_bytes(b"".join([b" " * (1 << 20) + b"\n"] * 32 + lines[1:] + [b"\n", lines[0]]))
     imports = cli_peak_mb("score", "--help")
-    peak = cli_peak_mb("score", "--corpus", unsorted, "--lexicon", lexicon, "--out", tmp_path / "out.csv", code=1)
+    peak, growth = cli_peaks_mb("score", "--corpus", unsorted, "--lexicon", lexicon, "--out", tmp_path / "out.csv",
+                                code=1)
     # Above the imports' peak (33.6 MB on x86-64 Linux): 1.7-1.9 MB, one
     # blank line's bytes and text, when the second shard's worker counts
     # the lines before its shard one at a time to name the failing line;
-    # 22.4-22.6 MB when it reads them all at once.
+    # 22.4-22.6 MB when it reads them all at once, which is also the
+    # worker's growth past the command's size at the fork (23.1 MB, against
+    # 0 for the line-at-a-time count).
     assert peak - imports < 5.0, (peak, imports)
+    assert growth < 1.0, growth
 
 
 # --- a large synth population is generated in forked workers --------------

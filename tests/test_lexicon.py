@@ -1,5 +1,6 @@
 import random
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +17,7 @@ from lexstable.lexicon import (
     tokenize,
     write_lexicon,
 )
+from lexstable.synth import SyntheticSpec, companion_lexicon, generate_author
 
 from conftest import data_path
 
@@ -370,3 +372,28 @@ def test_count_kernels_never_tokenize(monkeypatch, toy):
     assert w.tolist() == [3, 0, 1, 2]
     fv = score_features(msgs, toy)
     assert fv.counts == {1: 2, 2: 2} and fv.total_tokens == 6
+
+
+def test_the_count_kernel_transient_grows_with_hits_not_tokens_times_categories():
+    # One 2,000-message synth author at 70 categories, with each word of
+    # the companion dictionary listed under 1-4 categories (1,101 rows).
+    spec = SyntheticSpec(n_categories=70, vocab_per_category=20, n_messages=2000, seed=0)
+    corpus = generate_author(spec, "author0000")
+    base = companion_lexicon(spec)
+    ids = base.category_ids
+    exact = {word: refs | {ids[(i * (m + 2) + 5 * m) % 70] for m in range(i % 4)}
+             for i, (word, refs) in enumerate(sorted(base.exact.items()))}
+    lexicon = Lexicon(base.categories, exact, {})
+    assert len(set(exact.values())) == 1101
+    tracemalloc.start()
+    try:
+        M, w = count_matrix(corpus.messages, lexicon)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (2000, 70)
+    assert int(w.sum()) == sum(len(tokenize(m.text)) for m in corpus.messages)
+    # 3.4 MB when each token's categories are cells of one bincount; 10.4 MB
+    # when each token gathers a 70-column row of a dense incidence matrix
+    # (tokens x categories int32) that is then summed per message.
+    assert peak < 6.0, peak

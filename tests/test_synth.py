@@ -12,7 +12,6 @@ from lexstable.synth import (
     companion_lexicon,
     generate_author,
     generate_population,
-    iter_population,
     vocab_word,
 )
 
@@ -214,6 +213,6 @@ def test_jitter_produces_distinct_author_rates():
 
 def test_population_comes_in_author_id_order_past_ten_thousand(monkeypatch):
     monkeypatch.setattr(synth, "generate_author", lambda spec, author_id, rates: author_id)
-    ids = list(iter_population(small_spec(), 10_001))
+    ids, _ = generate_population(small_spec(), 10_001)
     assert ids == sorted(f"author{i:04d}" for i in range(10_001))
     assert ids[1001:1003] == ["author10000", "author1001"]
