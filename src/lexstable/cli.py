@@ -297,8 +297,6 @@ def cmd_score(args) -> None:
     names, authors, values = _score_table(args.corpus, lexicon, model, args)
     if args.stats_out and not authors:
         raise LexstableError(f"--corpus {args.corpus}: kept 0 author(s); --stats-out needs at least 1")
-    # built before any write, so a column without values leaves no file
-    stats = PopulationStats(dict(zip(names, values.T))) if args.stats_out else None
     counts = model is None
     with atomic_write(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -307,8 +305,8 @@ def cmd_score(args) -> None:
             [author_id, medium] + [messages, tokens] * counts + [fmt(v) for v in row]
             for (author_id, medium, messages, tokens), row in zip(authors, values.tolist())
         )
-    if stats is not None:
-        save_stats_json(stats, args.stats_out)
+    if args.stats_out:
+        save_stats_json(PopulationStats(dict(zip(names, values.T))), args.stats_out)
 
 
 def cmd_compare(args) -> None:

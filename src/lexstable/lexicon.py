@@ -25,11 +25,13 @@ to ``k``, U+0130 to two code points), one ``str.translate`` turns every
 character but ``a``-``z``, ``'`` and the sentinel into a space, an
 apostrophe not between two letters becomes a space, and ``str.split``
 gives the tokens; other text goes through one ``findall`` of the token
-pattern. Each token maps to a vocabulary row, one per distinct category
-pattern, so every dictionary miss shares one empty row; a token goes
-through ``Lexicon.lookup`` once, when first seen. Each token then gives
-one (message, category) cell per category of its row, and one
-``np.bincount`` of the cells gives the exact integer counts.
+pattern. Each token maps to a vocabulary row. The rows are the
+dictionary's own, made once when the ``Lexicon`` is: one per distinct
+category set among its entries, and one empty row that every miss
+shares. A token goes through ``Lexicon.lookup`` once, when first seen,
+to find its row. Each token then gives one (message, category) cell per
+category of its row, and one ``np.bincount`` of the cells gives the
+exact integer counts.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class Lexicon:
     Longest matching prefix wins; an exact entry beats any prefix.
     ``category_ids``, ``category_names`` and the read-only
     ``name_to_id`` are derived from ``categories`` once, at
-    construction; the counting vocabulary grows as tokens are first seen.
+    construction, and so are the counting vocabulary's rows.
     """
 
     categories: tuple[tuple[int, str], ...]
@@ -103,33 +105,26 @@ class Lexicon:
 
 class _Vocabulary(dict):
     """Token -> row: row 0 is every miss's and row 1 the sentinel's, both
-    without categories; each other row is one distinct category pattern.
-    In CSR form, row r's ``sizes[r]`` column indices, in declared order,
-    are ``columns[first[r]:first[r] + sizes[r]]``."""
+    without categories; each other row is one distinct category set of
+    the lexicon's entries, all made here. In CSR form, row r's
+    ``sizes[r]`` column indices, in declared order, are
+    ``columns[first[r]:first[r] + sizes[r]]``. Counting adds no row, only
+    each token's entry, when the token is first seen."""
 
     def __init__(self, lexicon: Lexicon):
         super().__init__(A=_SENTINEL_ROW)
-        self.lexicon, self.rows = lexicon, {(): 0}
-        self.first = self.sizes = np.zeros(2, dtype=np.intp)
-        self.columns = np.zeros(0, dtype=np.intp)
+        self.lookup = lexicon.lookup
+        sets = dict.fromkeys(ids for table in (lexicon.exact, lexicon.prefixes) for ids in table.values() if ids)
+        patterns = [(), (), *(tuple(sorted(ids)) for ids in sets)]  # the miss row's and the sentinel's, then the rest
+        self.rows = {pattern: row for row, pattern in enumerate(patterns) if row != _SENTINEL_ROW}
+        col = {cid: j for j, cid in enumerate(lexicon.category_ids)}
+        self.sizes = np.array([len(pattern) for pattern in patterns], dtype=np.intp)
+        self.first = np.cumsum(self.sizes) - self.sizes
+        self.columns = np.array([col[cid] for pattern in patterns for cid in pattern], dtype=np.intp)
 
     def __missing__(self, token: str) -> int:
-        row = self[token] = self.rows.setdefault(self.lexicon.lookup(token), len(self.rows) + 1)
+        row = self[token] = self.rows[self.lookup(token)]
         return row
-
-    def encode(self, messages) -> np.ndarray:
-        """Row ids of every token of ``messages``, each message's followed
-        by the sentinel's; ``sizes``, ``first`` and ``columns`` grow to cover
-        new rows."""
-        tokens = _tokens(messages)
-        ids = np.fromiter(map(self.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        if len(self.sizes) <= len(self.rows):
-            col = {cid: j for j, cid in enumerate(self.lexicon.category_ids)}
-            patterns = [(), *self.rows]  # the miss row's and the sentinel's (), then the rest in row order
-            self.sizes = np.array([len(pattern) for pattern in patterns], dtype=np.intp)
-            self.first = np.cumsum(self.sizes) - self.sizes
-            self.columns = np.array([col[cid] for pattern in patterns for cid in pattern], dtype=np.intp)
-        return ids
 
 
 @dataclass
@@ -295,7 +290,8 @@ def count_matrix(messages, lexicon: Lexicon):
     categories. Summing rows of a subset scores that subset.
     """
     vocabulary = lexicon._vocabulary
-    ids = vocabulary.encode(messages)
+    tokens = _tokens(messages)
+    ids = np.fromiter(map(vocabulary.__getitem__, tokens), dtype=np.intp, count=len(tokens))
     last = ids == _SENTINEL_ROW
     ends = np.flatnonzero(last)
     w = np.diff(ends, prepend=-1) - 1

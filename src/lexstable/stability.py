@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -251,12 +252,6 @@ def trait_variability(
     return abs(stats.percentile_rank(trait, sub_value) - stats.percentile_rank(trait, full_value))
 
 
-def _author_values(freq: np.ndarray, W, b) -> np.ndarray:
-    if W is None:
-        return freq
-    return project(freq, W, b)
-
-
 def _subsample_frequencies(counts: np.ndarray, words: np.ndarray, picks: list[np.ndarray]) -> np.ndarray:
     """Category frequencies of each subsample in ``picks`` that has any
     tokens; empty subsamples are skipped."""
@@ -286,17 +281,16 @@ class StabilityExperiment:
         if not modes or len(set(modes)) != len(modes) or any(m not in MODES for m in modes):
             raise PlanError(f"modes must be distinct values from {MODES}")
         self.plan, self.lexicon, self.modes = plan, lexicon, modes
-        if model is not None:
-            self.W, self.b = weight_matrix(model, lexicon)
-            self.names = list(model.trait_names)
+        if model is None:  # the values are the frequencies themselves
+            self.names, self.values = list(lexicon.category_names), lambda freq: freq
         else:
-            self.W, self.b = None, None
-            self.names = list(lexicon.category_names)
+            W, b = weight_matrix(model, lexicon)
+            self.names, self.values = list(model.trait_names), partial(project, W=W, b=b)
 
     def observe(self, corpus: AuthorCorpus) -> tuple[tuple[str, str], np.ndarray, dict] | None:
         """One author's (author_id, medium), full-sample values and
         subsample values per (size, mode); None if it is not eligible."""
-        plan, lexicon, W, b = self.plan, self.lexicon, self.W, self.b
+        plan, lexicon, values = self.plan, self.lexicon, self.values
         try:
             if plan.unit == "messages":  # slice first: later messages are never tokenized
                 msgs = full_sample(corpus, plan)
@@ -316,9 +310,8 @@ class StabilityExperiment:
         store = {}
         for size in plan.sizes:
             for mode, picks in _subsample_picks(weights, plan.base_size, size, seed, self.modes).items():
-                store[size, mode] = _author_values(_subsample_frequencies(counts, words, picks), W, b)
-        full_values = _author_values(100.0 * counts.sum(axis=0) / total, W, b)
-        return (corpus.author_id, corpus.medium), full_values, store
+                store[size, mode] = values(_subsample_frequencies(counts, words, picks))
+        return (corpus.author_id, corpus.medium), values(100.0 * counts.sum(axis=0) / total), store
 
     def curves(self, observations: Iterable) -> list[StabilityCurve]:
         """The curves of ``observe``'s results, Nones included, in any

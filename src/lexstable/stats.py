@@ -211,7 +211,9 @@ def compare_media(
 
     Produces one row per shared name, ratio relative to the baseline
     side's mean, rows sorted by |d| descending (ties by name); flags use
-    |d| > LARGE_EFFECT_D and p < SIGNIFICANT_P.
+    |d| > LARGE_EFFECT_D and p < SIGNIFICANT_P. An error names its
+    column: one with fewer than 2 values on a side (StatsError), or one
+    constant on both sides (DegenerateGroupsError).
     """
     if baseline not in ("a", "b"):
         raise ValueError("baseline must be 'a' or 'b'")
@@ -226,8 +228,11 @@ def compare_media(
             raise StatsError(f"column {name!r} has fewer than 2 values")
         base, other = (mean_b, mean_a) if baseline == "b" else (mean_a, mean_b)
         ratio = other / base if base != 0.0 else None
-        d = cohens_d(col_a, col_b)
-        p = welch_p(col_a, col_b)
+        try:
+            d = cohens_d(col_a, col_b)
+            p = welch_p(col_a, col_b)
+        except DegenerateGroupsError as exc:
+            raise DegenerateGroupsError(f"column {name!r}: {exc}") from None
         rows.append(MediaComparisonRow(
             name=name,
             mean_a=math.ldexp(mean_a, e),

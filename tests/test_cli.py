@@ -25,7 +25,8 @@ from lexstable.cli import build_parser, main
 from lexstable.errors import LexstableError, PlanError
 from lexstable.ingest import Message, build_author_corpora, canonical_line, read_corpus, write_corpus
 from lexstable.lexicon import load_lexicon, score_features, tokenize, write_lexicon
-from lexstable.report import fmt, write_comparison_csv
+from lexstable.report import fmt, write_comparison_csv, write_curves_csv
+from lexstable.stability import MODES, SubsamplePlan, run_stability
 from lexstable.stats import PopulationStats, compare_media, save_stats_json
 from lexstable.synth import SyntheticSpec, generate_population
 from lexstable.traits import infer_traits, load_trait_model
@@ -380,6 +381,21 @@ def test_too_few_kept_authors_name_the_corpus_and_the_need(tmp_path, capsys, com
         assert (out_dir / "out.csv").read_text().count("\n") == 1
 
 
+def test_compare_names_a_column_constant_on_both_sides(tmp_path, capsys):
+    # nobody writes a "never" word, so that category is 0 for every author
+    (tmp_path / "l.dic").write_text("%\n1\tpronoun\n2\tunused\n%\ni\t1\nme\t1\nnever\t2\n")
+    for side, texts in (("a", ["i am here", "me and i", "just me now"]), ("b", ["i i i", "you and me", "me"])):
+        write_corpus([Message(f"{side}{k}", datetime(2014, 3, 1, 12, tzinfo=timezone.utc), "blog", text)
+                      for k, text in enumerate(texts)], tmp_path / f"{side}.jsonl")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run("compare", "--corpus-a", str(tmp_path / "a.jsonl"), "--corpus-b", str(tmp_path / "b.jsonl"),
+               "--lexicon", str(tmp_path / "l.dic"), "--out", str(out_dir / "cmp.csv")) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: column 'unused': both groups are constant; d is undefined"]
+    assert list(out_dir.iterdir()) == []  # no output, no run_manifest.json
+
+
 @pytest.mark.parametrize("bad", ["missing/x", "is-a-directory"])
 @pytest.mark.parametrize("command, flag", [("score", "--stats-out"), ("traits", "--stats-out"),
                                            ("compare", "--svg"), ("stability", "--svg"),
@@ -544,13 +560,14 @@ def test_scoring_commands_write_what_the_per_author_api_gives(tmp_path):
                 assert list(csv.reader(fh)) == expected[command, side]
             save_stats_json(PopulationStats(expected[command, side, "columns"]), reference / "stats.json")
             assert (out / "stats.json").read_bytes() == (reference / "stats.json").read_bytes()
-        out = tmp_path / f"compare-{command}"
-        out.mkdir()
-        assert run(*map(str, ["compare", "--corpus-a", tmp_path / "a.jsonl", "--corpus-b", tmp_path / "b.jsonl",
-                              *common, *model_flags, "--out", out / "out.csv"])) == 0
-        write_comparison_csv(compare_media(expected[command, "a", "columns"], expected[command, "b", "columns"]),
-                             reference / "compare.csv")
-        assert (out / "out.csv").read_bytes() == (reference / "compare.csv").read_bytes()
+        for baseline_flags, baseline in (([], "b"), (["--baseline", "a"], "a")):
+            out = tmp_path / f"compare-{command}-{baseline}"
+            out.mkdir()
+            assert run(*map(str, ["compare", "--corpus-a", tmp_path / "a.jsonl", "--corpus-b", tmp_path / "b.jsonl",
+                                  *common, *model_flags, *baseline_flags, "--out", out / "out.csv"])) == 0
+            write_comparison_csv(compare_media(expected[command, "a", "columns"], expected[command, "b", "columns"],
+                                               baseline=baseline), reference / "compare.csv")
+            assert (out / "out.csv").read_bytes() == (reference / "compare.csv").read_bytes()
 
 
 def test_renorm_holds_at_any_finite_scale(tmp_path, capsys):
@@ -791,6 +808,20 @@ def test_stability_with_model(tmp_path, synth_files):
     assert {l.split(",")[0] for l in lines[1:]} == {"steady", "lively"}
 
 
+@pytest.mark.parametrize("unit, base, sizes", [("messages", 40, (5, 10, 20)), ("words", 400, (50, 100, 200))])
+def test_stability_anchor_earliest_writes_what_run_stability_gives(tmp_path, synth_files, unit, base, sizes):
+    # 60 messages per author: the earliest full sample is not the latest
+    corpus, lexicon = synth_files
+    out = tmp_path / "curves.csv"
+    assert run("stability", "--corpus", str(corpus), "--lexicon", str(lexicon), "--unit", unit,
+               "--base", str(base), "--sizes", ",".join(map(str, sizes)), "--seed", "7",
+               "--anchor", "earliest", "--out", str(out)) == 0
+    plan = SubsamplePlan(unit=unit, mode="random", base_size=base, sizes=sizes, master_seed=7, anchor="earliest")
+    corpora = build_author_corpora(read_corpus(corpus).messages)
+    write_curves_csv(run_stability(corpora, plan, load_lexicon(lexicon), modes=MODES), tmp_path / "want.csv")
+    assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # sha256 of curves.csv and curves.svg from `synth` + `stability --mode both`.
 # Same inputs and seed must give byte-identical output; a digest changes
 # only with an on-purpose change to the curves or their formats.
@@ -1001,7 +1032,7 @@ def test_golden_curves_do_not_depend_on_the_shard_count(tmp_path, monkeypatch, c
 def test_scoring_commands_write_the_per_author_api_in_any_shard_count(tmp_path, monkeypatch, shards):
     forks = _force_shards(monkeypatch, shards)
     test_scoring_commands_write_what_the_per_author_api_gives(tmp_path)
-    assert len(forks) == _workers(shards, runs=10)  # two synth runs, eight corpus reads
+    assert len(forks) == _workers(shards, runs=14)  # two synth runs, twelve corpus reads
     _assert_every_child_reaped()
 
 

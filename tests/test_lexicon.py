@@ -354,8 +354,13 @@ def test_vocabulary_never_changes_a_result(tmp_path_factory, corpora, lexicon):
 
     want = [_results(texts, fresh()) for texts in corpora]
     shared = fresh()
+    vocabulary = shared._vocabulary
+    rows, arrays = dict(vocabulary.rows), (vocabulary.sizes, vocabulary.first, vocabulary.columns)
     assert [_results(texts, shared) for texts in corpora] == want
     assert [_results(texts, shared) for texts in reversed(corpora)] == want[::-1]
+    # counting adds no row: the rows and their CSR arrays are made with the lexicon
+    assert vocabulary.rows == rows
+    assert all(now is then for now, then in zip((vocabulary.sizes, vocabulary.first, vocabulary.columns), arrays))
     path = tmp_path_factory.mktemp("lexicon") / "shared.dic"
     write_lexicon(shared, path)
     assert load_lexicon(path) == shared == lexicon

@@ -463,3 +463,10 @@ def test_flags_consistent_with_thresholds():
 def test_disjoint_tables_error():
     with pytest.raises(StatsError):
         compare_media(table(x=[1, 2]), table(y=[1, 2]))
+
+
+def test_a_column_constant_on_both_sides_is_named():
+    a = table(x=[1.0, 2.0, 3.0], unused=[0.0, 0.0, 0.0])
+    b = table(x=[2.0, 3.0, 5.0], unused=[0.0, 0.0, 0.0])
+    with pytest.raises(DegenerateGroupsError, match=r"^column 'unused': both groups are constant; d is undefined$"):
+        compare_media(a, b)
