@@ -8,17 +8,22 @@ with the resolved flags and content digests of the input files beside
 that output; ``renorm`` writes neither. ``main`` owns both steps.
 
 ``score``, ``traits``, ``compare`` and ``stability`` read a corpus through
-``map_authors``, and ``synth`` writes one, through ``_fork_map``: the work
-is cut into shards, at most one per usable CPU, and a lone shard runs in
-this process, with no fork; each of two or more runs in a forked worker,
-since the reader, the count kernel and the generator hold the GIL. A
-corpus file of at least two ``_SHARD_BYTES`` is cut at author changes; a
-``synth`` population of at least two ``_SHARD_TOKENS`` expected tokens is
-cut into contiguous runs of its sorted author ids. ``synth``'s first run
-streams straight into the output, through the file its worker inherits,
-and each later run into an unlinked temporary part file in the output's
-directory, which the parent appends in id order. Outputs, notes and
-errors do not depend on the number of shards.
+``map_authors``, ``ingest`` parses a raw input, and ``synth`` writes a
+corpus, through ``_fork_map``: the work is cut into shards, at most one
+per usable CPU, and a lone shard runs in this process, with no fork;
+each of two or more runs in a forked worker, since the parsers, the
+reader, the count kernel and the generator hold the GIL. A corpus file
+of at least two ``_SHARD_BYTES`` is cut at author changes; a raw input
+of at least two ``_RAW_SHARD_BYTES`` at record starts
+(``split_records``), and each range's worker sends the ``corpus_rows``
+of the messages it keeps, which the parent joins in range order and
+writes with ``write_rows``; a ``synth`` population of at least two
+``_SHARD_TOKENS`` expected tokens is cut into contiguous runs of its
+sorted author ids. ``synth``'s first run streams straight into the
+output, through the file its worker inherits, and each later run into
+an unlinked temporary part file in the output's directory, which the
+parent appends in id order. Outputs, notes and errors do not depend on
+the number of shards.
 
 A worker is a plain ``os.fork`` with one pipe: it pickles its result
 straight into the pipe, and the parent unpickles it from there, so
@@ -51,8 +56,10 @@ from . import __version__
 from .atomic import atomic_write
 from .errors import LexstableError, PlanError
 from .ingest import (
-    ParseResult, canonical_line, iter_author_texts, parse_messages, split_corpus, write_corpus, FORMATS,
+    ByteRange, ParseResult, canonical_line, corpus_rows, iter_author_texts, parse_messages, split_corpus,
+    split_records, write_rows, FORMATS,
 )
+from .ingest import write_corpus  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .ingest import build_author_corpora  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .ingest import read_corpus  # noqa: F401  unused: a name the benchmark's tracer wraps in cli
 from .lexicon import count_matrix, load_lexicon, write_lexicon
@@ -117,6 +124,16 @@ _SHARD_BYTES = 4 << 20
 # authors, medians of 10 alternated runs: 1% slower at 120k tokens, 4%
 # faster at 240k, 13% at 480k, 20% at 960k), so two shards start at 400k.
 _SHARD_TOKENS = 200_000
+
+# `ingest` parses a raw input in byte ranges of at least this many bytes,
+# each starting at a record, one forked worker each and at most one per
+# usable CPU. `tweets-jsonl`, the cheapest raw format per byte, breaks
+# even with two workers at about a 0.4 MB input (2-CPU Linux VM, medians
+# of 20 alternated runs: 8% slower at 64 KB, 3% slower at 256 KB, 2%
+# faster at 512 KB, 4% at 1 MB, 18% at 2 MB); mbox at about 0.3 MB (3%
+# slower at 64 KB, 1% slower at 256 KB, 7% faster at 512 KB, 18% at 1 MB,
+# 26% at 2 MB). 1 MiB leaves a margin, so two ranges start at 2 MiB.
+_RAW_SHARD_BYTES = 1 << 20
 
 
 def _usable_cpus() -> int:
@@ -278,13 +295,26 @@ def _score_table(path, lexicon, model, args):
     return list(model.trait_names), authors, project(values, W, b)
 
 
-def cmd_ingest(args) -> None:
+def _ingest_rows(args, bounds):
+    """The ``corpus_rows`` of the messages that ``parse_messages`` keeps
+    of the input's byte range ``bounds``, and its skipped and filtered
+    counts."""
     with open(args.input, "rb") as fh:
-        result = parse_messages(fh, args.format, args.medium)
-    write_corpus(result.messages, args.out)
+        result = parse_messages(ByteRange(fh, *bounds), args.format, args.medium)
+    return corpus_rows(result.messages), result.skipped, result.filtered
+
+
+def cmd_ingest(args) -> None:
+    """Parse the input's ``split_records`` ranges through ``_fork_map``,
+    join their rows in range order, and write them in corpus order."""
+    ranges = split_records(args.input, args.format,
+                           min(_usable_cpus(), os.path.getsize(args.input) // _RAW_SHARD_BYTES))
+    parts = _fork_map(partial(_ingest_rows, args), ranges)
+    rows = [row for part, _, _ in parts for row in part]
+    write_rows(rows, args.out)
     print(
-        f"ingested {len(result.messages)} message(s); "
-        f"skipped {result.skipped} malformed, filtered {result.filtered}",
+        f"ingested {len(rows)} message(s); "
+        f"skipped {sum(p[1] for p in parts)} malformed, filtered {sum(p[2] for p in parts)}",
         file=sys.stderr,
     )
 

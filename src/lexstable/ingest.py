@@ -17,6 +17,10 @@ datetime or ``Message`` is made for it. ``iter_authors`` and
 
 Readers keep only what they return: a mailbox is read mail by mail, so
 ``ingest``'s memory grows with the messages it keeps, not with the file.
+``split_records`` cuts a raw input at record starts into byte ranges
+that ``parse_messages`` reads apart (``ByteRange``), and ``write_rows``
+writes the ``corpus_rows`` of the kept messages, the one canonical
+writer behind both ``ingest`` and ``write_corpus``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache, partial
@@ -446,7 +451,9 @@ def parse_messages(stream, format: str, medium: str) -> ParseResult:
 
     Malformed records are skipped and counted, never fatal; an
     unreadable stream raises OSError. ``format`` is one of
-    ``tweets-jsonl``, ``mbox``, ``generic-jsonl``.
+    ``tweets-jsonl``, ``mbox``, ``generic-jsonl``. The stream is read
+    by line iteration (JSONL) or by ``read`` in blocks (mbox), so a
+    ``ByteRange`` of a file serves as well as the file.
     """
     try:
         parser = _PARSERS[format]
@@ -455,6 +462,73 @@ def parse_messages(stream, format: str, medium: str) -> ParseResult:
     result = ParseResult()
     result.messages = list(parser(stream, medium, tally=result))
     return result
+
+
+class ByteRange:
+    """Bytes ``start`` to ``stop`` of the open binary file ``fh``
+    (``stop`` None: to its end) as a stream that ends there, for
+    ``parse_messages``: ``read`` and line iteration. Nothing is read
+    ahead, so the range is never held whole."""
+
+    def __init__(self, fh, start: int, stop: int | None):
+        fh.seek(start)
+        self._fh = fh
+        self._left = sys.maxsize if stop is None else stop - start
+
+    def read(self, size: int) -> bytes:
+        data = self._fh.read(min(size, self._left))
+        self._left -= len(data)
+        return data
+
+    def __iter__(self) -> Iterator[bytes]:
+        while line := self._fh.readline(self._left):
+            self._left -= len(line)
+            yield line
+
+
+def _line_start(fh, at: int) -> int:
+    """The first line start at or past byte ``at``, lines ending at
+    ``\\n`` as binary line iteration ends them."""
+    fh.seek(max(at - 1, 0))
+    if at:
+        fh.readline()  # the rest of the line holding byte at - 1
+    return fh.tell()
+
+
+def _mail_start(fh, at: int) -> int:
+    """The first start of a mail at or past byte ``at``, or
+    the end of the file: a ``From `` line that follows a blank line, the
+    lines split by ``_lines``' rules. The search starts just past a
+    ``\\n``, which ends a line under every rule, and takes no mail that
+    starts there, since the line before it is not read."""
+    here = _line_start(fh, at)
+    prev_blank = False
+    for line in _lines(fh):
+        if prev_blank and line.startswith(b"From "):
+            return here
+        prev_blank = line.strip() == b""
+        here += len(line)
+    return here
+
+
+def split_records(path, format: str, ranges: int) -> list[tuple[int, int | None]]:
+    """Cut a raw ``format`` input into at most ``ranges`` byte ranges
+    ``(start, stop)`` of about equal size (``stop`` None for the last,
+    which runs to the end of the file), each starting where a record
+    does: just past a ``\\n`` for the JSONL formats, at a ``From `` line
+    that follows a blank line for mbox. ``parse_messages`` of each range
+    (a ``ByteRange``), in order, keeps the messages, and counts the
+    drops, that it does of the whole file. A range holding no record
+    start merges into the one before; ``ranges`` of 1 or less is the
+    whole file, which is then not opened."""
+    if ranges <= 1:
+        return [(0, None)]
+    record_start = _mail_start if format == "mbox" else _line_start
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh:
+        cuts = {record_start(fh, size * i // ranges) for i in range(1, ranges)}
+    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < size), None]
+    return list(zip(bounds, bounds[1:]))
 
 
 def build_author_corpora(messages) -> list[AuthorCorpus]:
@@ -496,16 +570,39 @@ def canonical_line(m: Message) -> str:
             f'"medium":{_quote(m.medium)},"text":{_quote(m.text)}}}\n')
 
 
+_EPOCH = datetime(1, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def corpus_rows(messages) -> list[tuple[str, int, str]]:
+    """Each message as ``(author_id, key, canonical_line)``: ``key`` is
+    its UTC time in whole microseconds since year 1, an exact integer
+    that sorts and ties as the timestamp does. Rows are what ``ingest``'s
+    workers send: they pickle in a fraction of a message's time. Rows of
+    one author share one author_id object, which a pickle of them holds
+    once."""
+    authors: dict[str, str] = {}
+    return [(authors.setdefault(m.author_id, m.author_id), (m.timestamp - _EPOCH) // _MICROSECOND, canonical_line(m))
+            for m in messages]
+
+
+def write_rows(rows: list, path) -> None:
+    """Write ``corpus_rows`` as canonical corpus JSONL sorted by
+    (author_id, key), stable on ties, sorting ``rows`` in place. The
+    author_id order is what ``iter_authors`` requires: each author's
+    lines form one run, and the runs ascend by author_id. Two stable
+    sorts on one key each make no key tuple per row."""
+    rows.sort(key=itemgetter(1))
+    rows.sort(key=itemgetter(0))
+    with atomic_write(path) as fh:
+        fh.writelines(map(itemgetter(2), rows))
+
+
 def write_corpus(messages, path) -> None:
     """Write messages as canonical corpus JSONL sorted by
-    (author_id, timestamp), stable on ties. The author_id order is what
-    ``iter_authors`` requires: each author's lines form one run, and the
-    runs ascend by author_id. Two stable sorts on one key each make no
-    key tuple per message."""
-    ordered = sorted(messages, key=attrgetter("timestamp"))
-    ordered.sort(key=attrgetter("author_id"))
-    with atomic_write(path) as fh:
-        fh.writelines(map(canonical_line, ordered))
+    (author_id, timestamp), stable on ties: ``write_rows`` of their
+    ``corpus_rows``."""
+    write_rows(corpus_rows(messages), path)
 
 
 def read_corpus(path) -> ParseResult:

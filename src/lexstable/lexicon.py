@@ -71,14 +71,17 @@ class Lexicon:
     ``categories`` keeps file order; ``exact`` maps whole words and
     ``prefixes`` maps stems (no ``*``) to frozensets of category ids.
     Longest matching prefix wins; an exact entry beats any prefix.
-    ``category_ids``, ``category_names`` and the read-only
-    ``name_to_id`` are derived from ``categories`` once, at
-    construction, and so are the counting vocabulary's rows.
+    Construction copies ``exact`` and ``prefixes`` into read-only
+    mappings, so no entry changes after the counting vocabulary's rows
+    are made from them. ``category_ids``, ``category_names`` and the
+    read-only ``name_to_id`` are derived from ``categories`` once, at
+    construction, and so are those rows. A pickle or a copy rebuilds
+    the lexicon from its categories and entries.
     """
 
     categories: tuple[tuple[int, str], ...]
-    exact: dict[str, frozenset[int]]
-    prefixes: dict[str, frozenset[int]]
+    exact: Mapping[str, frozenset[int]]
+    prefixes: Mapping[str, frozenset[int]]
     category_ids: tuple[int, ...] = field(init=False, compare=False, repr=False)
     category_names: tuple[str, ...] = field(init=False, compare=False, repr=False)
     name_to_id: Mapping[str, int] = field(init=False, compare=False, repr=False)
@@ -86,11 +89,16 @@ class Lexicon:
     _vocabulary: _Vocabulary = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self.exact = MappingProxyType(dict(self.exact))
+        self.prefixes = MappingProxyType(dict(self.prefixes))
         self.category_ids = tuple(cid for cid, _ in self.categories)
         self.category_names = tuple(name for _, name in self.categories)
         self.name_to_id = MappingProxyType({name: cid for cid, name in self.categories})
         self._prefix_lengths = sorted({len(p) for p in self.prefixes}, reverse=True)
         self._vocabulary = _Vocabulary(self)
+
+    def __reduce__(self):
+        return Lexicon, (self.categories, dict(self.exact), dict(self.prefixes))
 
     def lookup(self, token: str) -> tuple[int, ...]:
         """Category ids for one lowercase token (sorted, possibly empty)."""

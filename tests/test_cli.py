@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -23,7 +24,9 @@ from lexstable import lexicon as lexicon_module
 from lexstable import synth as synth_module
 from lexstable.cli import build_parser, main
 from lexstable.errors import LexstableError, PlanError
-from lexstable.ingest import Message, build_author_corpora, canonical_line, read_corpus, write_corpus
+from lexstable.ingest import (
+    Message, build_author_corpora, canonical_line, parse_messages, read_corpus, write_corpus,
+)
 from lexstable.lexicon import load_lexicon, score_features, tokenize, write_lexicon
 from lexstable.report import fmt, write_comparison_csv, write_curves_csv
 from lexstable.stability import MODES, SubsamplePlan, run_stability
@@ -31,7 +34,7 @@ from lexstable.stats import PopulationStats, compare_media, save_stats_json
 from lexstable.synth import SyntheticSpec, generate_population
 from lexstable.traits import infer_traits, load_trait_model
 
-from conftest import cli_peak_mb, cli_peaks_mb, data_path, fixture_path
+from conftest import cli_peak_mb, cli_peaks_mb, cli_worker_growth_mb, data_path, fixture_path
 
 
 def run(*argv):
@@ -688,8 +691,9 @@ _SCIPY_PROBE = textwrap.dedent("""
     run("renorm", "--from-stats", f"{d}/s.json", "--to-stats", f"{d}/s.json",
         "--trait", "cat01", "--value", 1.0)
 
-    # a population and a corpus of two shards each, forked on any host
-    saved = cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES
+    # a population, a corpus and a mailbox of two shards each, forked on
+    # any host: only the mailbox's workers import email
+    saved = cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES, cli._RAW_SHARD_BYTES
     forks = []
 
     def counted(fn, items):
@@ -698,13 +702,18 @@ _SCIPY_PROBE = textwrap.dedent("""
         return saved[0](fn, items)
 
     cli._fork_map, cli._usable_cpus = counted, lambda: 2
-    cli._SHARD_TOKENS = cli._SHARD_BYTES = 1
+    cli._SHARD_TOKENS = cli._SHARD_BYTES = cli._RAW_SHARD_BYTES = 1
     run("synth", "--authors", 4, "--messages", 20, "--seed", 3, "--categories", 3,
         "--out", f"{d}/c3.jsonl", "--lexicon-out", f"{d}/l3.dic")
     run("stability", "--corpus", f"{d}/c3.jsonl", "--lexicon", f"{d}/l3.dic",
         "--base", 20, "--sizes", "5,10", "--out", f"{d}/curves3.csv")
-    assert forks == [2, 2], forks
-    cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES = saved
+    with open(f"{d}/m.mbox", "w") as fh:
+        fh.write("From a@b.c Mon Mar  3 09:00:00 2014\\nFrom: a@b.c\\nDate: Mon, 3 Mar 2014 09:00:00 +0000\\n\\nhi\\n\\n" * 3)
+    run("ingest", "--input", f"{d}/m.mbox", "--format", "mbox", "--out", f"{d}/m.jsonl")
+    assert forks == [2, 2, 2], forks
+    with open(f"{d}/m.jsonl") as fh:
+        assert len(fh.readlines()) == 3
+    cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES, cli._RAW_SHARD_BYTES = saved
     with open(f"{d}/m.model", "w") as fh:
         fh.write("model m\\ntrait steady intercept=0\\n\\tcat01 0.5\\n\\tcat02 -0.5\\n")
     for model_flags in ([], ["--model", f"{d}/m.model"]):
@@ -996,9 +1005,9 @@ _FORK = cli_module._fork
 
 
 def _force_shards(monkeypatch, n):
-    """Cut every corpus and every synth population into up to ``n``
-    shards on any host. Returns the list that receives one item per
-    worker forked (see ``_workers``)."""
+    """Cut every corpus, every raw ``ingest`` input and every synth
+    population into up to ``n`` shards on any host. Returns the list
+    that receives one item per worker forked (see ``_workers``)."""
     forks = []
 
     def fork(fn, item):
@@ -1006,6 +1015,7 @@ def _force_shards(monkeypatch, n):
         return _FORK(fn, item)
 
     monkeypatch.setattr(cli_module, "_SHARD_BYTES", 1)
+    monkeypatch.setattr(cli_module, "_RAW_SHARD_BYTES", 1)
     monkeypatch.setattr(cli_module, "_SHARD_TOKENS", 1)
     monkeypatch.setattr(cli_module, "_usable_cpus", lambda: n)
     monkeypatch.setattr(cli_module, "_fork", fork)
@@ -1014,7 +1024,9 @@ def _force_shards(monkeypatch, n):
 
 def _workers(shards, runs=1):
     """The workers that ``runs`` fan-outs of ``shards`` shards each fork:
-    none for one shard, which runs in the calling process."""
+    none for one shard, which runs in the calling process. A fan-out is
+    a corpus read, a raw input that ``ingest`` parses (whose cut points
+    all fall in distinct records) or a synth population."""
     return runs * shards if shards > 1 else 0
 
 
@@ -1181,6 +1193,143 @@ def test_a_broken_corpus_fails_or_passes_alike_in_any_shard_count(tmp_path, caps
         assert len(seen) == 1, (command, seen)
 
 
+# --- a large raw input is parsed in forked workers -------------------------
+
+def _raw_tweets() -> bytes:
+    """Tweets of five authors with tied stamps, retweets, a French tweet,
+    a line that is not JSON and a blank line."""
+    lines = []
+    for i in range(30):
+        text = ("RT @b " if i % 7 == 3 else "") + " ".join(_WORDS[i % 12:i % 12 + 4]) + " #tag @you http://x.co"
+        record = {"user": {"id_str": f"a{i % 5}"}, "created_at": f"Mon Mar 03 12:{i % 7:02d}:00 +0100 2014",
+                  "text": text}
+        if i % 11 == 5:
+            record["lang"] = "fr"
+        lines.append(json.dumps(record))
+    lines[13], lines[17] = "not json", ""
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _raw_mbox() -> bytes:
+    """Twelve mails of four senders, one without a date, whose lines end
+    in turn at "\\n", "\\r\\n" and "\\r", with ">From " lines, "From "
+    lines that follow no blank line and bytes that are not UTF-8."""
+    lines = []
+    for i in range(12):
+        lines += [b"From a%d@example.com Mon Mar  3 09:00:00 2014" % (i % 4), b"From: a%d@example.com" % (i % 4)]
+        if i != 5:
+            lines.append(b"Date: Mon, 3 Mar 2014 09:%02d:00 +0000" % (i % 3))
+        lines += [b"", b"reply %d" % i, b">From an earlier mail", b"From here on, a body line", b"caf\xe9 \xff", b""]
+    return b"".join(line + (b"\n", b"\r\n", b"\r")[i % 3] for i, line in enumerate(lines))
+
+
+_RAW_INPUTS = {
+    "tweets-jsonl": _raw_tweets(),
+    "generic-jsonl": b"".join(  # out of author order, each record naming its medium, stamps at an offset; junk
+        b'{"author_id":"g%d","timestamp":"2014-03-0%dT12:00:0%d+01:00","medium":"%s","text":"  %s #x @y "}\n'
+        % ((i * 7) % 4, 1 + i % 3, i % 2, (b"blog", b"forum")[i % 2], _WORDS[i % 12].encode()) for i in range(30))
+    + b'[1]\n{"author_id":"g9","timestamp":"never","text":"x"}\n',
+    "mbox": _raw_mbox(),
+}
+
+
+def _run_ingest(tmp_path, format, out_dir):
+    """Run ``ingest`` on ``_RAW_INPUTS[format]`` with its output in
+    ``out_dir``, made if it does not exist."""
+    raw = tmp_path / f"raw.{format}"
+    raw.write_bytes(_RAW_INPUTS[format])
+    out_dir.mkdir(exist_ok=True)
+    return run("ingest", "--input", str(raw), "--format", format, "--out", str(out_dir / "corpus.jsonl"))
+
+
+@pytest.mark.parametrize("format", sorted(_RAW_INPUTS))
+def test_ingest_writes_what_write_corpus_gives_in_any_shard_count(tmp_path, monkeypatch, capsys, format):
+    whole = parse_messages(io.BytesIO(_RAW_INPUTS[format]), format, cli_module._DEFAULT_MEDIUM[format])
+    write_corpus(whole.messages, tmp_path / "reference.jsonl")
+    out_dir = tmp_path / "out"
+    for shards in (1, 2, 3):
+        forks = _force_shards(monkeypatch, shards)
+        assert _run_ingest(tmp_path, format, out_dir) == 0
+        assert len(forks) == _workers(shards)
+        _assert_every_child_reaped()
+        assert capsys.readouterr().err == (f"ingested {len(whole.messages)} message(s); "
+                                           f"skipped {whole.skipped} malformed, filtered {whole.filtered}\n")
+        assert (out_dir / "corpus.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["input_digests"] == {str(tmp_path / f"raw.{format}"): hashlib.sha256(
+            _RAW_INPUTS[format]).hexdigest()}
+    assert whole.messages and whole.skipped and (whole.filtered or format != "tweets-jsonl")
+
+
+_TWEET_MARKS = st.sampled_from([{}, {}, {"lang": "fr"}, {"lang": "en"}, {"retweeted": True}, {"retweeted_status": {}}])
+
+
+@st.composite
+def _fuzzed_tweets(draw) -> bytes:
+    """Tweets of up to four authors in any order, with tied stamps, some
+    retweets or not in English, each line kept or broken by ``_mutated``."""
+    lines = []
+    for _ in range(draw(st.integers(0, 16))):
+        words = draw(st.lists(st.sampled_from(_WORDS + ("RT", "@you", "#tag", "http://x.co")), max_size=5))
+        record = {"author_id": f"a{draw(st.integers(0, 3))}", "timestamp": f"2014-03-01T12:0{draw(st.integers(0, 5))}:00Z",
+                  "medium": "twitter", "text": " ".join(words), **draw(_TWEET_MARKS)}
+        lines.append(draw(_mutated((json.dumps(record) + "\n").encode())))
+    return b"".join(lines)
+
+
+_MAIL_LINES = st.sampled_from([b"", b"i think we talking", b">From a@b.c quoted", b"From here on", b"> quoted",
+                               b"-- ", b"caf\xe9 \xff not UTF-8", b"caf\xc3\xa9"])
+
+
+@st.composite
+def _fuzzed_mailboxes(draw) -> bytes:
+    """Up to six mails with a sender and a date or without, whose lines
+    end at "\\n", "\\r\\n" or a lone "\\r", with bodies that hold ">From "
+    lines, "From " lines and bytes that are not UTF-8, and whose "From "
+    line may follow no blank line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append(b"From x@example.com Mon Mar  3 09:00:00 2014")
+        if draw(st.integers(0, 3)):
+            lines.append(b"From: a%d@example.com" % draw(st.integers(0, 2)))
+        if draw(st.integers(0, 3)):
+            lines.append(b"Date: Mon, 3 Mar 2014 09:0%d:00 +0000" % draw(st.integers(0, 5)))
+        lines += [b"", *draw(st.lists(_MAIL_LINES, max_size=4))]
+        if draw(st.booleans()):
+            lines.append(b"")
+    return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for line in lines)
+
+
+@given(st.fixed_dictionaries({"tweets-jsonl": _fuzzed_tweets(), "generic-jsonl": _fuzzed_corpora(),
+                              "mbox": _fuzzed_mailboxes()}))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_broken_raw_input_is_ingested_alike_in_any_shard_count(tmp_path, capsys, inputs):
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    for format, data in inputs.items():
+        raw, out_dir = case / f"raw.{format}", case / format
+        raw.write_bytes(data)
+        out_dir.mkdir()
+        seen = set()
+        for shards in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                forks = _force_shards(patch, shards)
+                code = run("ingest", "--input", str(raw), "--format", format, "--out", str(out_dir / "corpus.jsonl"))
+            assert len(forks) <= _workers(shards)
+            _assert_every_child_reaped()
+            captured = capsys.readouterr()
+            files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+            assert code in (0, 1, 2)
+            if code:
+                assert [line.startswith("error: ") for line in captured.err.splitlines()].count(True) == 1
+                assert files == {}  # no output, no run_manifest.json
+            else:
+                assert sorted(files) == ["corpus.jsonl", "run_manifest.json"]
+            seen.add((code, captured.out, captured.err, tuple(sorted(files.items()))))
+            for f in out_dir.iterdir():
+                f.unlink()
+        assert len(seen) == 1, (format, seen)
+
+
 def test_a_worker_that_dies_fails_the_command(tmp_path, synth_files, monkeypatch, capsys):
     corpus, lexicon = synth_files
     parent = os.getpid()
@@ -1197,6 +1346,19 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, synth_files, monkeypatch
     assert len(forks) == 3
     assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
     assert list(out_dir.iterdir()) == []
+    _assert_every_child_reaped()
+
+    def dying_rows(messages, rows=cli_module.corpus_rows):  # ingest's workers encode their rows
+        if os.getpid() != parent and any(m.author_id == "a3" for m in messages):
+            os._exit(3)
+        return rows(messages)
+
+    forks.clear()
+    monkeypatch.setattr(cli_module, "corpus_rows", dying_rows)
+    assert _run_ingest(tmp_path, "tweets-jsonl", tmp_path / "ingest") == 1
+    assert len(forks) == 3
+    assert capsys.readouterr().err == "error: a worker process exited with code 3 before sending its result\n"
+    assert list((tmp_path / "ingest").iterdir()) == []
     _assert_every_child_reaped()
 
 
@@ -1220,6 +1382,21 @@ def test_a_worker_whose_result_cannot_be_pickled_fails_the_command(tmp_path, syn
     assert len(forks) == 3
     assert capsys.readouterr().err == "error: a worker process exited with code 1 before sending its result\n"
     assert list(out_dir.iterdir()) == []
+    _assert_every_child_reaped()
+
+    def unsendable_rows(messages, rows=cli_module.corpus_rows):  # ingest's workers encode their rows
+        if os.getpid() != parent and any(m.author_id == "a3" for m in messages):
+            if what == "exception":
+                raise LexstableError(lambda: None)
+            return [bytes(1 << 20), lambda: None]
+        return rows(messages)
+
+    forks.clear()
+    monkeypatch.setattr(cli_module, "corpus_rows", unsendable_rows)
+    assert _run_ingest(tmp_path, "tweets-jsonl", tmp_path / "ingest") == 1
+    assert len(forks) == 3
+    assert capsys.readouterr().err == "error: a worker process exited with code 1 before sending its result\n"
+    assert list((tmp_path / "ingest").iterdir()) == []
     _assert_every_child_reaped()
 
 
@@ -1354,10 +1531,20 @@ def test_mbox_ingest_memory_grows_with_the_messages_kept_not_with_the_file(tmp_p
                      b"Date: Mon, 3 Mar 2014 09:%02d:00 +0000\n\nreply %d\n" % (i % 50, i % 50, i % 60, i)
                      + quoted + b"\n")
     imports = cli_peak_mb("ingest", "--help")
-    peak = cli_peak_mb("ingest", "--input", mbox, "--format", "mbox", "--out", tmp_path / "mail.jsonl")
+    peak = cli_peak_mb("ingest", "--input", mbox, "--format", "mbox", "--out", tmp_path / "mail.jsonl", shards=1)
     assert len((tmp_path / "mail.jsonl").read_bytes().splitlines()) == 2000
-    # Above the imports' peak (33.5 MB on x86-64 Linux): 3.0 MB when the
-    # mailbox is read mail by mail (the email package's import included);
-    # 19.3 MB when the whole file, its lines and every mail's bytes are
-    # held before the first mail is parsed.
+    # Above the imports' peak (33.5 MB on x86-64 Linux), in one process:
+    # 1.6 MB when the mailbox is read mail by mail (the email package's
+    # import included); 19.3 MB when the whole file, its lines and every
+    # mail's bytes are held before the first mail is parsed.
     assert peak - imports < 8.0, (peak, imports)
+    growth = cli_worker_growth_mb("ingest", "--input", mbox, "--format", "mbox", "--out", tmp_path / "mail2.jsonl",
+                                  shards=2)
+    assert (tmp_path / "mail2.jsonl").read_bytes() == (tmp_path / "mail.jsonl").read_bytes()
+    # Each of two workers past its own size at its start: 2.1 MB when it
+    # reads its 2.8 MB range mail by mail (the email package's import and
+    # the pages it maps again included); 4.5 MB when it reads the range
+    # into one bytes object first, and 10.7 MB when it also holds its
+    # lines and every mail's bytes. The command's peak hides both: a
+    # forked worker starts about 9 MB below the command's size.
+    assert growth < 3.3, growth

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from lexstable import ingest
 from lexstable.errors import CorpusOrderError
 from lexstable.ingest import (
+    FORMATS,
+    ByteRange,
     Message,
     ParseResult,
     Shard,
@@ -24,6 +26,7 @@ from lexstable.ingest import (
     parse_timestamp,
     read_corpus,
     split_corpus,
+    split_records,
     strip_quoted,
     write_corpus,
 )
@@ -231,10 +234,11 @@ _JSON_VALUES = st.recursive(
 )
 _RECORD_KEYS = ("author_id", "user", "timestamp", "created_at", "text", "medium", "lang",
                 "retweeted", "retweeted_status")
+_RECORD_LINES = st.fixed_dictionaries({}, optional={k: _JSON_VALUES for k in _RECORD_KEYS}).map(
+    lambda r: json.dumps(r).encode())
 _JSONL_LINES = st.one_of(
     st.binary(max_size=30),
-    st.fixed_dictionaries({}, optional={k: _JSON_VALUES for k in _RECORD_KEYS})
-      .map(lambda r: json.dumps(r).encode()),
+    _RECORD_LINES,
     st.sampled_from([b"[" * 100_000, b"9" * 5000, b'{"text": "x"} ]', b"\xef\xbb\xbf{}"]),
 )
 
@@ -317,6 +321,58 @@ def test_the_streamed_mbox_split_equals_the_whole_file_split(lines, last, block)
         streamed = parsed()
     with mock.patch.object(ingest, "_message_boundaries", whole_file):
         assert parsed() == streamed
+
+
+def _mail_starts(data: bytes) -> set[int]:
+    """Where the mails of ``data`` start as a reader of the whole file
+    splits them (see ``_whole_file_mails``)."""
+    starts, at, prev_blank = set(), 0, True
+    for line in data.splitlines(keepends=True):
+        if line.startswith(b"From ") and prev_blank:
+            starts.add(at)
+        prev_blank = line.strip() == b""
+        at += len(line)
+    return starts
+
+
+@given(format=st.sampled_from(FORMATS), ranges=st.integers(1, 4),
+       lines=st.lists(st.tuples(_MBOX_LINES | _RECORD_LINES, st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=24),
+       last=_MBOX_LINES | _RECORD_LINES, block=st.sampled_from([1, 2, 7, ingest._MBOX_BLOCK]))
+@example(format="mbox", ranges=2, last=b"", block=2, lines=[  # the only mail start after the middle follows a "\r"
+    (b"From a", b"\n"), (b"From: a@b.c", b"\n"), (b"Date: Mon, 3 Mar 2014 09:00:00 +0000", b"\n"), (b"", b"\r"),
+    (b"x", b"\r\n"), (b"From b", b"\r"), (b"", b"\r"), (b"From c", b"\n"), (b"From: c@d.e", b"\r")])
+@settings(max_examples=300, deadline=None)
+def test_record_ranges_parse_as_the_whole_file(tmp_path_factory, format, ranges, lines, last, block):
+    # ``last`` ends the input without a newline; small blocks cut lines,
+    # and "\r\n" pairs, between the reads of the cut finder and the parser
+    data = b"".join(line + end for line, end in lines) + last
+    path = tmp_path_factory.mktemp("raw") / "input"
+    path.write_bytes(data)
+    whole = parse_messages(io.BytesIO(data), format, "forum")
+    with mock.patch.object(ingest, "_MBOX_BLOCK", block):
+        bounds = split_records(path, format, ranges)
+        parts = []
+        with open(path, "rb") as fh:
+            for start, stop in bounds:
+                parts.append(parse_messages(ByteRange(fh, start, stop), format, "forum"))
+    starts = [start for start, _ in bounds]
+    assert starts[0] == 0 and [stop for _, stop in bounds] == [*starts[1:], None]
+    assert starts == sorted(set(starts)) and len(starts) <= ranges and all(start < len(data) for start in starts[1:])
+    record_starts = _mail_starts(data) if format == "mbox" else {i + 1 for i, byte in enumerate(data) if byte == 10}
+    assert set(starts[1:]) <= record_starts
+    assert [m for part in parts for m in part.messages] == whole.messages
+    assert [sum(getattr(part, n) for part in parts) for n in ("skipped", "filtered", "lines")] == [
+        whole.skipped, whole.filtered, whole.lines]
+
+
+def test_a_byte_range_reads_and_iterates_as_a_file_that_ends_there(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"ab\ncd\r\nef\rgh\nij")
+    with open(path, "rb") as fh:
+        assert list(ByteRange(fh, 1, 8)) == [b"b\n", b"cd\r\n", b"e"]
+        byte_range = ByteRange(fh, 3, None)
+        assert [byte_range.read(4), byte_range.read(100), byte_range.read(1)] == [b"cd\r\n", b"ef\rgh\nij", b""]
+        assert list(ByteRange(fh, 4, 4)) == [] and ByteRange(fh, 4, 4).read(5) == b""
 
 
 # --- build_author_corpora ---------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import string
 import tracemalloc
@@ -113,6 +115,29 @@ def test_duplicate_entries_merge_category_sets():
     assert lex.exact["x"] == frozenset({1, 2})
     assert lex.prefixes["pre"] == frozenset({1, 2})
     assert lex.exact["x"] is lex.exact["y"] is lex.prefixes["pre"]  # one frozenset per distinct set
+
+
+def test_a_lexicon_cannot_change_after_construction():
+    exact, prefixes = {"x": frozenset({1})}, {"pre": frozenset({2})}
+    lex = Lexicon(((1, "a"), (2, "b")), exact, prefixes)
+    for table in (lex.exact, lex.prefixes):
+        with pytest.raises(TypeError):
+            table["y"] = frozenset({1, 2})
+    exact["y"] = prefixes["po"] = frozenset({1, 2})  # the caller's dicts are copies, not the lexicon's entries
+    assert lex == Lexicon(((1, "a"), (2, "b")), {"x": frozenset({1})}, {"pre": frozenset({2})})
+    M, w = count_matrix(["x y prefix post"], lex)
+    assert M.tolist() == [[1, 1]] and w.tolist() == [4]
+
+
+@pytest.mark.parametrize("copy_of", [lambda lex: pickle.loads(pickle.dumps(lex)), copy.deepcopy, copy.copy])
+def test_a_lexicon_survives_pickle_and_copy(toy, copy_of):
+    texts = ["I love my happy friends", "me hate happiness", "", "zebra"]
+    twin = copy_of(toy)
+    assert twin == toy and twin.name_to_id == toy.name_to_id
+    for got, want in zip(count_matrix(texts, twin), count_matrix(texts, toy)):
+        assert got.tolist() == want.tolist()
+    with pytest.raises(TypeError):
+        twin.exact["y"] = frozenset({1})
 
 
 def test_roundtrip_through_file(tmp_path, toy):
