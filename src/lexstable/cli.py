@@ -12,18 +12,18 @@ that output; ``renorm`` writes neither. ``main`` owns both steps.
 corpus, through ``_fork_map``: the work is cut into shards, at most one
 per usable CPU, and a lone shard runs in this process, with no fork;
 each of two or more runs in a forked worker, since the parsers, the
-reader, the count kernel and the generator hold the GIL. A corpus file
-of at least two ``_SHARD_BYTES`` is cut at author changes; a raw input
-of at least two ``_RAW_SHARD_BYTES`` at record starts
-(``split_records``), and each range's worker sends the ``corpus_rows``
-of the messages it keeps, which the parent joins in range order and
-writes with ``write_rows``; a ``synth`` population of at least two
-``_SHARD_TOKENS`` expected tokens is cut into contiguous runs of its
-sorted author ids. ``synth``'s first run streams straight into the
-output, through the file its worker inherits, and each later run into
-an unlinked temporary part file in the output's directory, which the
-parent appends in id order. Outputs, notes and errors do not depend on
-the number of shards.
+reader, the count kernel and the generator hold the GIL. A file of at
+least two ``_SHARD_BYTES`` is cut into ``Shard``s, a corpus at author
+changes (``split_corpus``) and a raw input at record starts
+(``split_records``), and each shard is read through ``ByteRange``. Each
+``ingest`` worker sends the ``corpus_rows`` of the messages it keeps,
+which the parent joins in shard order and writes with ``write_rows``. A
+``synth`` population of at least two ``_SHARD_TOKENS`` expected tokens
+is cut into contiguous runs of its sorted author ids. ``synth``'s first
+run streams straight into the output, through the file its worker
+inherits, and each later run into an unlinked temporary part file in the
+output's directory, which the parent appends in id order. Outputs, notes
+and errors do not depend on the number of shards.
 
 A worker is a plain ``os.fork`` with one pipe: it pickles its result
 straight into the pipe, and the parent unpickles it from there, so
@@ -109,13 +109,18 @@ def _write_manifest(args: argparse.Namespace) -> None:
         fh.write("\n")
 
 
-# A corpus is read in shards of at least this many bytes, one forked
-# worker each and at most one per usable CPU; a smaller file is read in
-# this process. `score`, the cheapest command per byte, breaks even with
-# two workers at a 1 MB corpus (2-CPU Linux VM, medians of 10 alternated
-# runs: 11% slower at 0.5 MB, 4% faster at 2 MB, 11% faster at 4 MB).
-# 4 MiB leaves a margin and keeps corpora of a few MB in-process.
-_SHARD_BYTES = 4 << 20
+# A corpus or a raw `ingest` input is read in shards of at least this
+# many bytes, one forked worker each and at most one per usable CPU; a
+# smaller file is read in this process. Two workers against one process
+# on the media benchmark's inputs cut to size (2-CPU Linux VM, medians of
+# 14 alternated runs): `score`, the cheapest per byte, is 1% slower at
+# 0.26 MB, within 4% either way at 0.52 MB, 3% faster at 0.79 MB, 7% at
+# 1.05 MB and 11% at 2.1 MB; `ingest --format tweets-jsonl` 1% slower at
+# 0.26 MB, 5% faster at 0.52 MB, 8% at 1.05 MB and 24% at 2.1 MB; mbox 7%
+# faster at 0.26 MB, 19% at 1.05 MB and 29% at 2.1 MB. `score`'s
+# break-even, the largest at about 0.5-0.8 MB, rounded up to a power of
+# two: two shards start at 2 MiB.
+_SHARD_BYTES = 1 << 20
 
 # `synth` generates its population in shards of at least this many
 # expected tokens (authors x messages x mean message length), one forked
@@ -124,17 +129,6 @@ _SHARD_BYTES = 4 << 20
 # authors, medians of 10 alternated runs: 1% slower at 120k tokens, 4%
 # faster at 240k, 13% at 480k, 20% at 960k), so two shards start at 400k.
 _SHARD_TOKENS = 200_000
-
-# `ingest` parses a raw input in byte ranges of at least this many bytes,
-# each starting at a record, one forked worker each and at most one per
-# usable CPU. `tweets-jsonl`, the cheapest raw format per byte, breaks
-# even with two workers at about a 0.4 MB input (2-CPU Linux VM, medians
-# of 20 alternated runs: 8% slower at 64 KB, 3% slower at 256 KB, 2%
-# faster at 512 KB, 4% at 1 MB, 18% at 2 MB); mbox at about 0.3 MB (3%
-# slower at 64 KB, 1% slower at 256 KB, 7% faster at 512 KB, 18% at 1 MB,
-# 26% at 2 MB). 1 MiB leaves a margin, so two ranges start at 2 MiB.
-_RAW_SHARD_BYTES = 1 << 20
-
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or 1 where workers are not
@@ -145,6 +139,13 @@ def _usable_cpus() -> int:
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _shard_count(path) -> int:
+    """How many shards the file at ``path`` is cut into: one per
+    ``_SHARD_BYTES``, at most one per usable CPU (0 or 1: the whole
+    file)."""
+    return min(_usable_cpus(), os.path.getsize(path) // _SHARD_BYTES)
 
 
 def _work(fn, item, fd) -> None:
@@ -240,11 +241,10 @@ def map_authors(path, fn) -> list:
     """``fn`` of each of the corpus's ``AuthorCorpus`` groups, in file
     order, each holding its texts alone (``iter_author_texts``); the
     skipped-record note follows the last author. Each author is read, and
-    dropped, one at a time. A file of at least two ``_SHARD_BYTES`` is
-    cut at author changes into one shard per usable CPU, and the shards
-    are read through ``_fork_map``; results, the note and errors do not
-    depend on the number of shards."""
-    shards = split_corpus(path, min(_usable_cpus(), os.path.getsize(path) // _SHARD_BYTES))
+    dropped, one at a time. The file is cut at author changes into
+    ``_shard_count`` shards, read through ``_fork_map``; results, the
+    note and errors do not depend on the number of shards."""
+    shards = split_corpus(path, _shard_count(path))
 
     def read(shard):
         tally = ParseResult()
@@ -295,21 +295,20 @@ def _score_table(path, lexicon, model, args):
     return list(model.trait_names), authors, project(values, W, b)
 
 
-def _ingest_rows(args, bounds):
+def _ingest_rows(args, shard):
     """The ``corpus_rows`` of the messages that ``parse_messages`` keeps
-    of the input's byte range ``bounds``, and its skipped and filtered
+    of the input's byte range ``shard``, and its skipped and filtered
     counts."""
     with open(args.input, "rb") as fh:
-        result = parse_messages(ByteRange(fh, *bounds), args.format, args.medium)
+        result = parse_messages(ByteRange(fh, shard.start, shard.stop), args.format, args.medium)
     return corpus_rows(result.messages), result.skipped, result.filtered
 
 
 def cmd_ingest(args) -> None:
-    """Parse the input's ``split_records`` ranges through ``_fork_map``,
-    join their rows in range order, and write them in corpus order."""
-    ranges = split_records(args.input, args.format,
-                           min(_usable_cpus(), os.path.getsize(args.input) // _RAW_SHARD_BYTES))
-    parts = _fork_map(partial(_ingest_rows, args), ranges)
+    """Parse the input's ``split_records`` shards through ``_fork_map``,
+    join their rows in shard order, and write them in corpus order."""
+    shards = split_records(args.input, args.format, _shard_count(args.input))
+    parts = _fork_map(partial(_ingest_rows, args), shards)
     rows = [row for part, _, _ in parts for row in part]
     write_rows(rows, args.out)
     print(

@@ -6,8 +6,7 @@ Canonical corpus files are JSON lines, one object per message with keys
 suffix), ``medium`` and ``text``, sorted by (author_id, timestamp).
 Text is stored cleaned, so reading a corpus takes it verbatim. Each
 author's lines are one contiguous run, so ``iter_authors`` can read the
-file one author at a time, and ``split_corpus`` can cut it into byte
-ranges at author changes that are read apart.
+file one author at a time.
 
 The streaming commands read a corpus through ``iter_author_texts``: per
 author and medium, its texts alone, in timestamp-text order. A canonical
@@ -17,10 +16,13 @@ datetime or ``Message`` is made for it. ``iter_authors`` and
 
 Readers keep only what they return: a mailbox is read mail by mail, so
 ``ingest``'s memory grows with the messages it keeps, not with the file.
-``split_records`` cuts a raw input at record starts into byte ranges
-that ``parse_messages`` reads apart (``ByteRange``), and ``write_rows``
-writes the ``corpus_rows`` of the kept messages, the one canonical
-writer behind both ``ingest`` and ``write_corpus``.
+``write_rows`` writes the ``corpus_rows`` of the kept messages, the one
+canonical writer behind both ``ingest`` and ``write_corpus``.
+
+A file read apart on several CPUs is cut by one loop into ``Shard``s of
+about equal size: ``split_corpus`` cuts a corpus where the author
+changes, ``split_records`` a raw input where a record starts. Each shard
+is read through ``ByteRange``, a stream that ends where the shard does.
 """
 
 from __future__ import annotations
@@ -356,15 +358,18 @@ _MBOX_BLOCK = 1 << 16
 def _lines(stream) -> Iterator[bytes]:
     """The lines of a byte stream, ends kept, as ``bytes.splitlines``
     splits the whole stream (at ``\\n``, ``\\r\\n`` and a lone ``\\r``),
-    read a block at a time. A block's last line waits for the next block,
-    which may go on with it or hold the ``\\n`` of its ``\\r\\n``."""
-    rest = b""
+    read a block at a time. The last line waits for the next block, which
+    may go on with it or hold the ``\\n`` of its ``\\r\\n``. The blocks
+    are joined only once one holds a line break, so a line that spans
+    many blocks is joined once, not once per block."""
+    pending: list[bytes] = []
     while block := stream.read(_MBOX_BLOCK):
-        lines = (rest + block).splitlines(keepends=True)
-        rest = lines.pop()
-        yield from lines
-    if rest:
-        yield rest
+        pending.append(block)
+        if b"\n" in block or b"\r" in block:
+            lines = b"".join(pending).splitlines(keepends=True)
+            pending = [lines.pop()]
+            yield from lines
+    yield from b"".join(pending).splitlines(keepends=True)
 
 
 def _message_boundaries(stream) -> Iterator[bytes]:
@@ -464,11 +469,24 @@ def parse_messages(stream, format: str, medium: str) -> ParseResult:
     return result
 
 
+@dataclass(frozen=True)
+class Shard:
+    """A byte range of a file that one worker reads, cut where a record
+    starts: ``start`` and ``stop`` are record starts (``stop`` None runs to
+    the end of the file). ``after``, for a canonical corpus, is the
+    author_id of the last message the reader yields before ``start``
+    (None for the first range, and for a raw input)."""
+
+    start: int = 0
+    stop: int | None = None
+    after: str | None = None
+
+
 class ByteRange:
     """Bytes ``start`` to ``stop`` of the open binary file ``fh``
-    (``stop`` None: to its end) as a stream that ends there, for
-    ``parse_messages``: ``read`` and line iteration. Nothing is read
-    ahead, so the range is never held whole."""
+    (``stop`` None: to its end) as a stream that ends there: ``read`` and
+    line iteration, whose last line is cut at ``stop``. Nothing is read
+    past the file's own buffer, so the range is never held whole."""
 
     def __init__(self, fh, start: int, stop: int | None):
         fh.seek(start)
@@ -481,14 +499,24 @@ class ByteRange:
         return data
 
     def __iter__(self) -> Iterator[bytes]:
-        while line := self._fh.readline(self._left):
-            self._left -= len(line)
+        # iterating the file itself takes about half the time of a
+        # readline(limit) per line; a range to the end needs no cut
+        return iter(self._fh) if self._left == sys.maxsize else self._range_lines(self._left)
+
+    def _range_lines(self, left: int) -> Iterator[bytes]:
+        """The lines of the file's next ``left`` bytes, the last cut there."""
+        for line in self._fh:
+            if left <= len(line):
+                if left:
+                    yield line[:left]
+                return
+            left -= len(line)
             yield line
 
 
 def _line_start(fh, at: int) -> int:
     """The first line start at or past byte ``at``, lines ending at
-    ``\\n`` as binary line iteration ends them."""
+    ``\\n`` as binary line iteration ends them. Leaves ``fh`` there."""
     fh.seek(max(at - 1, 0))
     if at:
         fh.readline()  # the rest of the line holding byte at - 1
@@ -511,24 +539,56 @@ def _mail_start(fh, at: int) -> int:
     return here
 
 
-def split_records(path, format: str, ranges: int) -> list[tuple[int, int | None]]:
-    """Cut a raw ``format`` input into at most ``ranges`` byte ranges
-    ``(start, stop)`` of about equal size (``stop`` None for the last,
-    which runs to the end of the file), each starting where a record
-    does: just past a ``\\n`` for the JSONL formats, at a ``From `` line
-    that follows a blank line for mbox. ``parse_messages`` of each range
-    (a ``ByteRange``), in order, keeps the messages, and counts the
-    drops, that it does of the whole file. A range holding no record
-    start merges into the one before; ``ranges`` of 1 or less is the
-    whole file, which is then not opened."""
-    if ranges <= 1:
-        return [(0, None)]
-    record_start = _mail_start if format == "mbox" else _line_start
+def _author_change(fh, at: int) -> tuple[int, str | None]:
+    """The first line start past byte ``at`` (``at`` itself when a line
+    starts there) where the author of the messages the reader yields
+    changes, and the author before it; the end of the file and None if
+    it does not change again. Lines are read by the reader's rules, so a
+    skipped record never marks a change."""
+    here = start = _line_start(fh, at)
+
+    def lines():
+        nonlocal here, start
+        for line in fh:
+            start, here = here, here + len(line)
+            yield line
+
+    author = None
+    for author_id, *_ in _parse_jsonl(lines(), "other", _text_record, ParseResult()):
+        if author is None:
+            author = author_id
+        elif author_id != author:
+            return start, author
+    return here, None
+
+
+def _cut(path, shards: int, boundary) -> list[Shard]:
+    """Cut the file at ``path`` into at most ``shards`` ``Shard``s of
+    about equal size. ``boundary(fh, at)`` gives the first cut at or past
+    byte ``at`` of the open file and the ``after`` of the shard starting
+    there; a cut at the end of the file is none, so a range holding no
+    cut merges into the one before. ``shards`` of 1 or less is the whole
+    file, which is then not opened."""
+    if shards <= 1:
+        return [Shard()]
     size = os.path.getsize(path)
+    cuts: dict[int, str | None] = {}
     with open(path, "rb") as fh:
-        cuts = {record_start(fh, size * i // ranges) for i in range(1, ranges)}
+        for i in range(1, shards):
+            cuts.setdefault(*boundary(fh, size * i // shards))
     bounds = [0, *sorted(cut for cut in cuts if 0 < cut < size), None]
-    return list(zip(bounds, bounds[1:]))
+    return [Shard(lo, hi, cuts.get(lo)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def split_records(path, format: str, shards: int) -> list[Shard]:
+    """Cut a raw ``format`` input into at most ``shards`` ``Shard``s, each
+    starting where a record does: just past a ``\\n`` for the JSONL
+    formats, at a ``From `` line that follows a blank line for mbox.
+    ``parse_messages`` of each shard (a ``ByteRange``), in order, keeps
+    the messages, and counts the drops, that it does of the whole
+    file."""
+    record_start = _mail_start if format == "mbox" else _line_start
+    return _cut(path, shards, lambda fh, at: (record_start(fh, at), None))
 
 
 def build_author_corpora(messages) -> list[AuthorCorpus]:
@@ -615,72 +675,14 @@ def read_corpus(path) -> ParseResult:
     return result
 
 
-@dataclass(frozen=True)
-class Shard:
-    """A byte range of a canonical corpus, cut where the author changes:
-    ``start`` and ``stop`` are line starts (``stop`` None runs to the end
-    of the file), and ``after`` is the author_id of the last message the
-    reader yields before ``start`` (None for the first range)."""
-
-    start: int = 0
-    stop: int | None = None
-    after: str | None = None
-
-
-def _author_change(fh, at: int) -> tuple[int, str] | None:
-    """The first line start past byte ``at`` (``at`` itself when a line
-    starts there) where the author of the messages the reader yields
-    changes, and the author before it; None if it does not change again.
-    Lines are read by the reader's rules, so a skipped record never
-    marks a change."""
-    fh.seek(max(at - 1, 0))
-    if at:
-        fh.readline()  # the rest of the line holding byte at - 1
-    here = start = fh.tell()
-
-    def lines():
-        nonlocal here, start
-        for line in fh:
-            start, here = here, here + len(line)
-            yield line
-
-    author = None
-    for author_id, *_ in _parse_jsonl(lines(), "other", _text_record, ParseResult()):
-        if author is None:
-            author = author_id
-        elif author_id != author:
-            return start, author
-    return None
-
-
 def split_corpus(path, shards: int) -> list[Shard]:
-    """Cut a canonical corpus into at most ``shards`` byte ranges of about
-    equal size, each cut where the author of the messages the reader
-    yields changes, so that one author's lines never span two ranges.
-    Reading the ranges in order with ``iter_authors`` or
-    ``iter_author_texts`` yields the authors, tallies and order errors
-    that one read of the whole file does. An author run longer than a
-    range merges ranges; ``shards`` of 1 or less is the whole file, which
-    is then not opened."""
-    if shards <= 1:
-        return [Shard()]
-    size = os.path.getsize(path)
-    cuts: dict[int, str] = {}
-    with open(path, "rb") as fh:
-        for i in range(1, shards):
-            if (cut := _author_change(fh, size * i // shards)) is not None:
-                cuts.setdefault(*cut)
-    bounds = [0, *sorted(cuts), None]
-    return [Shard(lo, hi, cuts.get(lo)) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _upto(lines, size: int):
-    """The lines of ``lines`` that start in its first ``size`` bytes."""
-    for line in lines:
-        if size <= 0:
-            return
-        size -= len(line)
-        yield line
+    """Cut a canonical corpus into at most ``shards`` ``Shard``s, each cut
+    where the author of the messages the reader yields changes, so that
+    one author's lines never span two shards. Reading the shards in order
+    with ``iter_authors`` or ``iter_author_texts`` yields the authors,
+    tallies and order errors that one read of the whole file does. An
+    author run longer than a shard merges shards."""
+    return _cut(path, shards, _author_change)
 
 
 def _author_runs(path, tally: ParseResult, shard: Shard, adapt, author_of) -> Iterator[list]:
@@ -689,13 +691,10 @@ def _author_runs(path, tally: ParseResult, shard: Shard, adapt, author_of) -> It
     run: list = []
     author = shard.after
     with open(path, "rb") as fh:
-        fh.seek(shard.start)
-        lines = fh if shard.stop is None else _upto(fh, shard.stop - shard.start)
-        for item in _parse_jsonl(lines, "other", adapt, tally):
+        for item in _parse_jsonl(ByteRange(fh, shard.start, shard.stop), "other", adapt, tally):
             if (item_author := author_of(item)) != author:
                 if author is not None and item_author < author:
-                    fh.seek(0)  # the lines before the shard, one at a time
-                    line = sum(1 for _ in _upto(fh, shard.start)) + tally.lines
+                    line = sum(1 for _ in ByteRange(fh, 0, shard.start)) + tally.lines
                     raise CorpusOrderError(
                         f"{path}:{line}: author_id {item_author!r} sorts below the "
                         f"previous author {author!r}; corpus lines must be grouped "

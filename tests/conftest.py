@@ -69,7 +69,7 @@ def sized_fork(fn, item):
 cli._fork = sized_fork
 if shards := int(sys.argv[1]):  # as tests/test_cli.py's _force_shards does
     cli._usable_cpus = lambda: shards
-    cli._SHARD_BYTES = cli._RAW_SHARD_BYTES = cli._SHARD_TOKENS = 1
+    cli._SHARD_BYTES = cli._SHARD_TOKENS = 1
 code = cli.main(sys.argv[2:])
 os.close(growths)
 with open(grown, "rb") as fh:

@@ -693,7 +693,7 @@ _SCIPY_PROBE = textwrap.dedent("""
 
     # a population, a corpus and a mailbox of two shards each, forked on
     # any host: only the mailbox's workers import email
-    saved = cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES, cli._RAW_SHARD_BYTES
+    saved = cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES
     forks = []
 
     def counted(fn, items):
@@ -702,7 +702,7 @@ _SCIPY_PROBE = textwrap.dedent("""
         return saved[0](fn, items)
 
     cli._fork_map, cli._usable_cpus = counted, lambda: 2
-    cli._SHARD_TOKENS = cli._SHARD_BYTES = cli._RAW_SHARD_BYTES = 1
+    cli._SHARD_TOKENS = cli._SHARD_BYTES = 1
     run("synth", "--authors", 4, "--messages", 20, "--seed", 3, "--categories", 3,
         "--out", f"{d}/c3.jsonl", "--lexicon-out", f"{d}/l3.dic")
     run("stability", "--corpus", f"{d}/c3.jsonl", "--lexicon", f"{d}/l3.dic",
@@ -713,7 +713,7 @@ _SCIPY_PROBE = textwrap.dedent("""
     assert forks == [2, 2, 2], forks
     with open(f"{d}/m.jsonl") as fh:
         assert len(fh.readlines()) == 3
-    cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES, cli._RAW_SHARD_BYTES = saved
+    cli._fork_map, cli._usable_cpus, cli._SHARD_TOKENS, cli._SHARD_BYTES = saved
     with open(f"{d}/m.model", "w") as fh:
         fh.write("model m\\ntrait steady intercept=0\\n\\tcat01 0.5\\n\\tcat02 -0.5\\n")
     for model_flags in ([], ["--model", f"{d}/m.model"]):
@@ -1015,7 +1015,6 @@ def _force_shards(monkeypatch, n):
         return _FORK(fn, item)
 
     monkeypatch.setattr(cli_module, "_SHARD_BYTES", 1)
-    monkeypatch.setattr(cli_module, "_RAW_SHARD_BYTES", 1)
     monkeypatch.setattr(cli_module, "_SHARD_TOKENS", 1)
     monkeypatch.setattr(cli_module, "_usable_cpus", lambda: n)
     monkeypatch.setattr(cli_module, "_fork", fork)
@@ -1028,6 +1027,39 @@ def _workers(shards, runs=1):
     a corpus read, a raw input that ``ingest`` parses (whose cut points
     all fall in distinct records) or a synth population."""
     return runs * shards if shards > 1 else 0
+
+
+def _jsonl_of(size: int) -> bytes:
+    """Canonical corpus lines of authors with 100 messages each, the last
+    line's text padded so that the file is ``size`` bytes."""
+    def line(i, pad=""):
+        return (b'{"author_id":"a%06d","timestamp":"2014-03-01T12:00:00Z","medium":"twitter",'
+                b'"text":"happy friends%s"}\n' % (i // 100, pad.encode()))
+
+    n = size // len(line(0)) - 1
+    body = b"".join(map(line, range(n)))
+    return body + line(n, "s" * (size - len(body) - len(line(n))))
+
+
+def test_a_corpus_and_a_raw_input_fork_two_workers_from_two_shard_sizes(tmp_path, monkeypatch):
+    forks = []
+
+    def fork(fn, item):
+        forks.append(item)
+        return _FORK(fn, item)
+
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli_module, "_fork", fork)
+    for size, workers in ((2 * cli_module._SHARD_BYTES - 1, 0), (2 * cli_module._SHARD_BYTES, 2)):
+        path = tmp_path / f"{size}.jsonl"
+        path.write_bytes(_jsonl_of(size))
+        assert path.stat().st_size == size
+        for argv in (["score", "--corpus", path, "--lexicon", data_path("demo.dic"), "--out", tmp_path / "s.csv"],
+                     ["ingest", "--input", path, "--format", "generic-jsonl", "--out", tmp_path / "c.jsonl"]):
+            forks.clear()
+            assert run(*map(str, argv)) == 0
+            assert len(forks) == workers, (argv[0], size)
+            _assert_every_child_reaped()
 
 
 # one shard is the golden test itself
@@ -1161,7 +1193,38 @@ _FUZZED_COMMANDS = {
                                       "--out", out_dir / "out.csv", "--stats-out", out_dir / "stats.json"],
     "stability": lambda corpus, out_dir: ["stability", "--corpus", corpus, "--lexicon", data_path("demo.dic"),
                                           "--base", 2, "--sizes", "1", "--out", out_dir / "out.csv"],
+    "traits": lambda corpus, out_dir: ["traits", "--corpus", corpus, "--lexicon", data_path("demo.dic"),
+                                       "--model", data_path("toy_big5.model"),
+                                       "--out", out_dir / "out.csv", "--stats-out", out_dir / "stats.json"],
+    "compare": lambda corpus, out_dir: ["compare", "--corpus-a", corpus, "--corpus-b", corpus,
+                                        "--lexicon", data_path("demo.dic"), "--out", out_dir / "out.csv",
+                                        "--svg", out_dir / "out.svg"],
 }
+
+
+def _assert_alike_in_any_shard_count(argv, out_dir, capsys):
+    """Run ``argv`` at 1, 2 and 3 forced shards: its exit code is 0, 1 or
+    2, a failure prints one ``error:`` line and writes no file, and the
+    exit code, stdout, stderr and files in ``out_dir`` are the same each
+    time. The files are removed after each run."""
+    seen = set()
+    for shards in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            _force_shards(patch, shards)
+            code = run(*map(str, argv))
+        _assert_every_child_reaped()
+        captured = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        assert code in (0, 1, 2)
+        if code:
+            assert [line.startswith("error: ") for line in captured.err.splitlines()].count(True) == 1
+            assert files == {}  # no output, no run_manifest.json
+        else:
+            assert "run_manifest.json" in files
+        seen.add((code, captured.out, captured.err, tuple(sorted(files.items()))))
+        for f in out_dir.iterdir():
+            f.unlink()
+    assert len(seen) == 1, (argv[0], seen)
 
 
 @given(_fuzzed_corpora())
@@ -1173,24 +1236,41 @@ def test_a_broken_corpus_fails_or_passes_alike_in_any_shard_count(tmp_path, caps
     for command, argv in _FUZZED_COMMANDS.items():
         out_dir = case / command
         out_dir.mkdir()
-        seen = set()
-        for shards in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as patch:
-                _force_shards(patch, shards)
-                code = run(*map(str, argv(corpus, out_dir)))
-            _assert_every_child_reaped()
-            captured = capsys.readouterr()
-            files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
-            assert code in (0, 1, 2)
-            if code:
-                assert [line.startswith("error: ") for line in captured.err.splitlines()].count(True) == 1
-                assert files == {}  # no output, no run_manifest.json
-            else:
-                assert "run_manifest.json" in files
-            seen.add((code, captured.out, captured.err, tuple(sorted(files.items()))))
-            for f in out_dir.iterdir():
-                f.unlink()
-        assert len(seen) == 1, (command, seen)
+        _assert_alike_in_any_shard_count(argv(corpus, out_dir), out_dir, capsys)
+
+
+@st.composite
+def _with_a_broken_line(draw, text: str) -> bytes:
+    """``text``, a dictionary or a model, with one line replaced by, or
+    inserted as, a malformed one: a line of it truncated or with a stray
+    character, or a short line of any text."""
+    lines = text.splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    cut = draw(st.integers(0, len(lines[at])))
+    stray = draw(st.sampled_from(["\0", "\t", " ", "%", "*", "=", "-", "e999", "nan", "\ufeff", "\r", "\x85"]))
+    bad = draw(st.sampled_from([lines[at][:cut], lines[at][:cut] + stray + lines[at][cut:]])
+               | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+    lines[at:at + draw(st.integers(0, 1))] = [bad]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@given(which=st.sampled_from(["lexicon", "model"]), data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_broken_dictionary_or_model_fails_or_passes_alike_in_any_shard_count(tmp_path, capsys, which, data):
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    paths = {"lexicon": data_path("demo.dic"), "model": data_path("toy_big5.model")}
+    broken = case / paths[which].name
+    broken.write_bytes(data.draw(_with_a_broken_line(paths[which].read_text(encoding="utf-8"))))
+    paths[which] = broken
+    corpus = case / "corpus.jsonl"
+    corpus.write_text("".join(canonical_line(Message(f"a{i // 6}", datetime(2014, 3, 1, 12, i, tzinfo=timezone.utc),
+                                                     "twitter", " ".join(_WORDS[i % 9:i % 9 + 4])))
+                              for i in range(24)), encoding="utf-8")
+    out_dir = case / "out"
+    out_dir.mkdir()
+    _assert_alike_in_any_shard_count(["traits", "--corpus", corpus, "--lexicon", paths["lexicon"],
+                                      "--model", paths["model"], "--out", out_dir / "out.csv",
+                                      "--stats-out", out_dir / "stats.json"], out_dir, capsys)
 
 
 # --- a large raw input is parsed in forked workers -------------------------
